@@ -10,9 +10,9 @@ guarantees behind the search.
 
 from .configspace import (AllocationRule, AttackConfig, AttackFamily, ConfigSpace,
                           FamilyGrid, SpaceError, decode_config, default_config_space,
-                          enumerate_space, neighborhood, validate_config)
+                          validate_config)
 from .evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityReport, UtilityWeights,
-                         estimate_utility, flip_rate, make_baseline, reward_drop,
+                         estimate_utility, make_baseline, reward_drop,
                          scalarize, scout_confirm, variability)
 from .memory import (AttackMemory, MemoryRecord, TaskSummary, similarity, summarize,
                      warm_start)
@@ -24,7 +24,7 @@ from .theory import (BoundReport, EffectiveSet, UtilityMap, baseline_gap,
                      gibbs_reference, hit_probability, hitting_time_bound,
                      hoeffding_bound, monte_carlo_hitting_time, noisy_correction_check)
 from .victims import (LinearWorldModelVictim, ResponseSurfaceVictim, RolloutBatch,
-                      VictimDescriptor, apply_perturbation, run_attack_step,
-                      surface_task, surface_task_family)
+                      VictimDescriptor, apply_perturbation, surface_task,
+                      surface_task_family)
 
 __version__ = "0.1.0"

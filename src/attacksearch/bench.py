@@ -10,10 +10,8 @@ same logs is byte-identical to what `bench` produced.
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,6 @@ from .search import SearchParams, SearchResult, run_search
 from .serial import write_records
 from .victims import surface_task_family
 
-THREADS_ENV = "ATTACKSEARCH_THREADS"
 THRESHOLD_FRACTION = 0.9
 
 SUMMARY_HEADER = "Task,Method,Drop,Flip,Utility,Time"
@@ -51,14 +48,6 @@ def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -402,17 +391,7 @@ class _BenchJob:
 
 
 def _family_space(config: RunConfig, family: AttackFamily) -> ConfigSpace:
-    narrowed = RunConfig(
-        mode=config.mode, seed=config.seed, out_dir=config.out_dir,
-        victim=config.victim,
-        space=type(config.space)(
-            families=(family.value,), restarts=config.space.restarts,
-            rhos=config.space.rhos, seeds=config.space.seeds,
-            epsilons=config.space.epsilons, steps=config.space.steps),
-        weights=config.weights, search=config.search, retrieval=config.retrieval,
-        oracle=config.oracle, theory=config.theory, bench=config.bench,
-        memory=config.memory)
-    return build_space(narrowed)
+    return build_space(replace(config, space=replace(config.space, families=(family.value,))))
 
 
 def _method_search(method: str, victim, space: ConfigSpace, params: SearchParams,
@@ -458,27 +437,17 @@ def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
         for method in config.bench.methods
     ]
 
-    def execute(job: _BenchJob) -> tuple[_BenchJob, list[dict]]:
-        victim = tasks[job.task_index]
+    results: dict[tuple, list[dict]] = {}
+    for job in jobs:
         space = spaces[job.family]
         seed = Stream(config.seed, (5, job.task_index, job.family.rank,
                                     config.bench.methods.index(job.method))).state_u64()
         params = build_search_params(config, seed=seed)
-        result = _method_search(job.method, victim, space, params,
+        result = _method_search(job.method, tasks[job.task_index], space, params,
                                 baselines[job.task_id], weights, memory,
                                 config.retrieval.top_k, config.retrieval.strength)
-        return job, trial_records(result.history, space)
-
-    workers = _thread_count()
-    results: dict[tuple, list[dict]] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for job, records in pool.map(execute, jobs):
-                results[(job.task_id, job.family.value, job.method)] = records
-    else:
-        for job in jobs:
-            job, records = execute(job)
-            results[(job.task_id, job.family.value, job.method)] = records
+        results[(job.task_id, job.family.value, job.method)] = trial_records(
+            result.history, space)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for (task_id, family, method), records in sorted(results.items()):

@@ -259,10 +259,6 @@ def _replace_field(config: AttackConfig, name: str, value) -> AttackConfig:
     return AttackConfig(**kwargs)
 
 
-def enumerate_space(space: ConfigSpace) -> tuple[AttackConfig, ...]:
-    return space.configs
-
-
 def validate_config(config: AttackConfig, space: ConfigSpace) -> bool:
     """Membership verdict: true iff every field lies on the family's grid."""
     grid = space.grids.get(config.family)
@@ -271,10 +267,6 @@ def validate_config(config: AttackConfig, space: ConfigSpace) -> bool:
     return (config.epsilon in grid.epsilons and config.steps in grid.steps
             and config.restarts in grid.restarts and config.rho in grid.rhos
             and config.seed in grid.seeds and config.allocation in grid.allocations)
-
-
-def neighborhood(config: AttackConfig, space: ConfigSpace) -> tuple[AttackConfig, ...]:
-    return space.neighbors(config)
 
 
 def _even_range(lo: int, hi: int, step: int) -> tuple[int, ...]:

@@ -73,34 +73,6 @@ def reward_drop(j_clean: float, j_adv: float) -> float:
     return (j_clean - j_adv) / (abs(j_clean) + 1.0)
 
 
-def flip_rate(clean_actions, attacked_actions, action_kind: str = "discrete",
-              kappa: float = 0.0) -> float:
-    """Fraction of decision points whose action changed.
-
-    Discrete actions flip on inequality; continuous actions flip when the
-    L1 action shift exceeds kappa.
-    """
-    clean = list(clean_actions)
-    attacked = list(attacked_actions)
-    if len(clean) != len(attacked):
-        raise ValueError("action sequences must have equal length")
-    if not clean:
-        raise ValueError("action sequences must be non-empty")
-    if action_kind == "discrete":
-        hits = sum(1 for u, v in zip(clean, attacked) if int(u) != int(v))
-    elif action_kind == "continuous":
-        hits = sum(1 for u, v in zip(clean, attacked)
-                   if float(np.abs(np.asarray(u) - np.asarray(v)).sum()) > kappa)
-    else:
-        raise ValueError(f"unknown action kind: {action_kind!r}")
-    return hits / len(clean)
-
-
-def continuous_flip_threshold(action_range: float, action_dim: int) -> float:
-    """Default kappa: 5% of the action range per dimension, L1-aggregated."""
-    return 0.05 * action_range * action_dim
-
-
 def variability(returns, j_clean: float) -> float:
     """Population standard deviation of returns, normalized by |J_clean|+1."""
     arr = np.asarray(list(returns), dtype=float)

@@ -64,8 +64,7 @@ def _lag1_autocorr(rewards: np.ndarray) -> float | None:
     return float(cov / math.sqrt(va * vb))
 
 
-def summarize(batches, task_id: str, horizon: int,
-              action_kind: str = "discrete") -> TaskSummary:
+def summarize(batches, task_id: str, horizon: int) -> TaskSummary:
     """Aggregate clean-rollout trajectories into the 12-feature summary."""
     if isinstance(batches, RolloutBatch):
         batches = [batches]
@@ -88,11 +87,7 @@ def summarize(batches, task_id: str, horizon: int,
     autocorrs = [ac for tr in traces if (ac := _lag1_autocorr(tr.rewards)) is not None]
     autocorr = float(np.mean(autocorrs)) if autocorrs else 0.0
 
-    if action_kind == "discrete":
-        action_feature = _action_entropy(np.concatenate([tr.actions for tr in traces]))
-    else:
-        stacked = np.concatenate([np.atleast_2d(tr.actions) for tr in traces])
-        action_feature = float(np.std(stacked, axis=0).mean())
+    action_feature = _action_entropy(np.concatenate([tr.actions for tr in traces]))
 
     total_steps = sum(tr.rewards.size for tr in traces)
     horizon_fraction = total_steps / (len(traces) * horizon)
@@ -132,6 +127,9 @@ class MemoryRecord:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.features, dtype=float)
+        if arr.shape != (FEATURE_LENGTH,):
+            raise ValueError(f"features must have length {FEATURE_LENGTH}, "
+                             f"got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or not math.isfinite(self.utility):
             raise ValueError("memory records must be finite")
         arr = arr.copy()
@@ -148,16 +146,9 @@ class AttackMemory:
     """
 
     records: list[MemoryRecord] = field(default_factory=list)
-    feature_length: int = FEATURE_LENGTH
 
     def __post_init__(self) -> None:
-        for rec in self.records:
-            self._check(rec)
         self._refresh_normalization()
-
-    def _check(self, record: MemoryRecord) -> None:
-        if record.features.shape != (self.feature_length,):
-            raise ValueError(f"record features must have length {self.feature_length}")
 
     def _refresh_normalization(self) -> None:
         if self.records:
@@ -165,8 +156,8 @@ class AttackMemory:
             mean = stacked.mean(axis=0)
             std = stacked.std(axis=0)
         else:
-            mean = np.zeros(self.feature_length)
-            std = np.ones(self.feature_length)
+            mean = np.zeros(FEATURE_LENGTH)
+            std = np.ones(FEATURE_LENGTH)
         std = np.where(std > 0, std, 1.0)
         self._norm_mean, self._norm_std = mean, std
 
@@ -178,7 +169,6 @@ class AttackMemory:
         return (vec - self._norm_mean) / self._norm_std
 
     def insert(self, record: MemoryRecord) -> None:
-        self._check(record)
         self.records.append(record)
 
     def next_timestamp(self) -> float:
@@ -227,11 +217,7 @@ class AttackMemory:
                 ))
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordFormatError(str(path), number, f"bad memory record: {exc}") from None
-        lengths = {r.features.shape[0] for r in records}
-        if len(lengths) > 1:
-            raise RecordFormatError(str(path), 1, f"inconsistent feature lengths: {sorted(lengths)}")
-        feature_length = lengths.pop() if lengths else FEATURE_LENGTH
-        return cls(records=records, feature_length=feature_length)
+        return cls(records=records)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,3 @@ class Stream:
     def state_u64(self) -> int:
         """A stable 64-bit fingerprint of this stream, for logging."""
         return int(self._sequence().generate_state(2, dtype=np.uint32)[:2].view(np.uint64)[0])
-
-
-def generator_from(seed: int, *path: int) -> np.random.Generator:
-    return Stream(int(seed), tuple(path)).generator()

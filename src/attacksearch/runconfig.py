@@ -1,13 +1,16 @@
 """Declarative run configuration: one YAML tree drives every CLI mode.
 
-Unknown keys are rejected and every constraint violation names the key and
-the line it came from. Omitted keys take the documented defaults; the
-text produced by `emit_defaults` parses back to the all-default config.
+Every key is declared once, as a spec-dataclass field that carries its
+default, its documentation comment and its constraint. One walker parses
+every section from those fields: a key's type is the type of its default,
+unknown keys are rejected, and every violation names the dotted key and
+the line it came from. `emit_defaults` walks the same fields, and its text
+parses back to the all-default config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -21,6 +24,7 @@ METHOD_FULL = "attacksearch"
 METHOD_RANDOM = "random"
 METHOD_FEEDBACK_ONLY = "feedback-only"
 METHODS = (METHOD_FULL, METHOD_RANDOM, METHOD_FEEDBACK_ONLY)
+_FAMILIES = tuple(f.value for f in AttackFamily)
 
 
 class RunConfigError(ValueError):
@@ -31,96 +35,143 @@ class RunConfigError(ValueError):
         self.line = line
 
 
+# ----------------------------------------------------------------------
+# Key declarations
+# ----------------------------------------------------------------------
+
+
+def _rule(holds, message: str):
+    """A constraint: `holds(value)` or the key fails with `<key> <message>`."""
+    return lambda value: None if holds(value) else message
+
+
+def _at_least(bound):
+    return _rule(lambda v: v >= bound, f"must be >= {bound}")
+
+
+def _within(lo, hi):
+    return _rule(lambda v: lo <= v <= hi, f"must lie in [{lo}, {hi}]")
+
+
+def _one_of(choices):
+    return lambda v: None if v in choices else f"must be one of {choices}, got {v!r}"
+
+
+def _members(choices, noun: str):
+    def check(values):
+        if not values:
+            return f"must name at least one {noun}"
+        bad = [v for v in values if v not in choices]
+        return f"names unknown {noun} {bad[0]!r}; valid: {choices}" if bad else None
+    return check
+
+
+_NON_EMPTY = _rule(bool, "must be non-empty")
+
+
+def _key(default, comment: str = "", check=None):
+    """A run-config key: its default, its `emit_defaults` comment, its constraint."""
+    meta = {"comment": comment, "check": check}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class VictimSpec:
-    kind: str = "surface"          # surface | linear
+    kind: str = _key("surface", "surface | linear", _one_of(("surface", "linear")))
     task_id: str = "task-000"
     task_seed: int = 0
-    noise: float = 0.0             # surface victims only
-    horizon: int = 10
-    action_count: int = 6
-    obs_dim: int = 64
-    latent_dim: int = 12
-    grid_size: int = 5
-    weight_seed: int = 0
-    baseline_episodes: int = 3
+    noise: float = _key(0.0, "return-noise scale; surface only", _at_least(0))
+    horizon: int = _key(10, check=_at_least(1))
+    action_count: int = _key(6, "surface only")
+    obs_dim: int = _key(64, "linear only")
+    latent_dim: int = _key(12, "linear only")
+    grid_size: int = _key(5, "linear only")
+    weight_seed: int = _key(0, "linear only")
+    baseline_episodes: int = _key(3, check=_at_least(1))
     dump_trajectories: bool = False
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    families: tuple[str, ...] = tuple(f.value for f in AttackFamily)
-    restarts: tuple[int, ...] = (1,)
-    rhos: tuple[float, ...] = (0.75,)
-    seeds: tuple[int, ...] = (0,)
-    epsilons: dict = field(default_factory=dict)   # family -> list of ints
-    steps: dict = field(default_factory=dict)
+    families: tuple[str, ...] = _key(_FAMILIES, check=_members(_FAMILIES, "family"))
+    restarts: tuple[int, ...] = _key((1,), check=_NON_EMPTY)
+    rhos: tuple[float, ...] = _key((0.75,), check=_NON_EMPTY)
+    seeds: tuple[int, ...] = _key((0,), check=_NON_EMPTY)
+    epsilons: dict = _key({}, "per-family grid overrides, e.g. {apgd-ce: [2, 4, 8]}")
+    steps: dict = _key({}, "per-family grid overrides")
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    budget: int = 16
+    budget: int = _key(16, "distinct configurations to evaluate")
     batch: int = 4
-    alpha: float = 0.5
-    alpha_schedule: str = "constant"
-    beta: float = 50.0
-    spread: float = 2.0
-    scout_episodes: int = 2
-    confirm_episodes: int = 5
-    confirm_top_k: int = 2
+    alpha: float = _key(0.5, "proposal update rate", _within(0, 1))
+    alpha_schedule: str = _key("constant", "constant | harmonic",
+                               _one_of(("constant", "harmonic")))
+    beta: float = _key(50.0, "exploitation temperature", _at_least(0))
+    spread: float = _key(2.0, "neighborhood deposit weight", _at_least(0))
+    scout_episodes: int = _key(2, check=_at_least(1))
+    confirm_episodes: int = _key(5, check=_at_least(1))
+    confirm_top_k: int = _key(2, check=_at_least(1))
     update_memory: bool = False
     dump_proposals: bool = False
+
+    def __post_init__(self) -> None:
+        if not (self.budget >= self.batch >= 1):
+            raise ValueError("need budget >= batch >= 1")
 
 
 @dataclass(frozen=True)
 class RetrievalSpec:
-    memory_path: str = ""
-    top_k: int = 3
-    strength: float = 0.6          # mixing weight toward retrieved configs
+    memory_path: str = _key("", "empty disables retrieval")
+    top_k: int = _key(3, check=_at_least(1))
+    strength: float = _key(0.6, "warm-start mixing weight in [0, 1]", _within(0, 1))
 
 
 @dataclass(frozen=True)
 class WeightsSpec:
-    flip: float = 0.25
-    runtime: float = 0.15
-    variability: float = 0.05
+    flip: float = _key(0.25, check=_at_least(0))
+    runtime: float = _key(0.15, check=_at_least(0))
+    variability: float = _key(0.05, check=_at_least(0))
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    episodes: int = 0              # 0: deterministic victims only
+    episodes: int = _key(0, "0 = refuse non-deterministic victims", _at_least(0))
 
 
 @dataclass(frozen=True)
 class TheorySpec:
-    identity_tuples: int = 1000
-    hitting_trials: int = 20000
-    random_pairs: int = 10
-    pair_trials: int = 4000
-    coverage_trials: int = 200
-    coverage_episodes: int = 50
-    delta: float = 0.1
-    eta: float = 0.05
+    identity_tuples: int = _key(1000, check=_at_least(1))
+    hitting_trials: int = _key(20000, check=_at_least(1))
+    random_pairs: int = _key(10, check=_at_least(1))
+    pair_trials: int = _key(4000, check=_at_least(1))
+    coverage_trials: int = _key(200, check=_at_least(1))
+    coverage_episodes: int = _key(50, check=_at_least(1))
+    delta: float = _key(0.1, check=_rule(lambda v: 0 < v < 1, "must lie in (0, 1)"))
+    eta: float = _key(0.05, check=_at_least(0))
 
 
 @dataclass(frozen=True)
 class BenchSpec:
-    tasks: int = 10
+    tasks: int = _key(10, check=_at_least(1))
     family_seed: int = 0
-    noise: float = 0.2
-    methods: tuple[str, ...] = METHODS
+    noise: float = _key(0.2, check=_at_least(0))
+    methods: tuple[str, ...] = _key(METHODS, check=_members(METHODS, "method"))
 
 
 @dataclass(frozen=True)
 class MemorySpec:
-    tasks: int = 20
+    tasks: int = _key(20, check=_at_least(1))
     family_seed: int = 0
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "search"
-    seed: int = 0
+    mode: str = _key("search", " | ".join(MODES), _one_of(MODES))
+    seed: int = _key(0, check=_at_least(0))
     out_dir: str = "out"
     victim: VictimSpec = VictimSpec()
     space: SpaceSpec = SpaceSpec()
@@ -136,6 +187,8 @@ class RunConfig:
 # ----------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------
+
+_TYPE_NAMES = {bool: "boolean", int: "integer", float: "real", str: "string"}
 
 
 def _line_map(text: str) -> dict[tuple, int]:
@@ -160,80 +213,84 @@ def _line_map(text: str) -> dict[tuple, int]:
     return lines
 
 
-def _type_name(expected) -> str:
-    return {int: "integer", float: "real", str: "string", bool: "boolean"}[expected]
+def _scalar(value, kind):
+    """`value` as a `kind`, or None; integers widen to reals, booleans never count."""
+    if kind is bool:
+        return value if isinstance(value, bool) else None
+    if kind in (int, float) and isinstance(value, bool):
+        return None
+    if kind is float and isinstance(value, (int, float)):
+        return float(value)
+    return value if isinstance(value, kind) else None
 
 
-class _Parser:
-    def __init__(self, data: dict, lines: dict[tuple, int]):
-        self.data = data
+class _Walker:
+    def __init__(self, lines: dict[tuple, int]):
         self.lines = lines
 
-    def line(self, path: tuple) -> int | None:
-        return self.lines.get(path)
-
-    def key(self, path: tuple) -> str:
-        return ".".join(str(p) for p in path)
-
     def fail(self, path: tuple, message: str):
-        raise RunConfigError(message, key=self.key(path), line=self.line(path))
+        raise RunConfigError(message, key=".".join(path), line=self.lines.get(path))
 
-    def scalar(self, mapping: dict, path: tuple, name: str, expected, default):
-        if name not in mapping:
-            return default
-        value = mapping[name]
-        full = path + (name,)
-        if expected is bool:
-            if not isinstance(value, bool):
-                self.fail(full, f"expected boolean, got {value!r}")
-            return value
-        if expected is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                self.fail(full, f"expected integer, got {value!r}")
-            return value
-        if expected is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                self.fail(full, f"expected real, got {value!r}")
-            return float(value)
-        if expected is str:
-            if not isinstance(value, str):
-                self.fail(full, f"expected string, got {value!r}")
-            return value
-        raise AssertionError(expected)
-
-    def sequence(self, mapping: dict, path: tuple, name: str, expected, default):
-        if name not in mapping:
-            return default
-        value = mapping[name]
-        full = path + (name,)
-        if not isinstance(value, list):
-            self.fail(full, f"expected a list of {_type_name(expected)}s, got {value!r}")
-        out = []
-        for item in value:
-            if expected is float and isinstance(item, int) and not isinstance(item, bool):
-                item = float(item)
-            if isinstance(item, bool) or not isinstance(item, expected):
-                self.fail(full, f"expected a list of {_type_name(expected)}s, got {item!r}")
-            out.append(item)
-        return tuple(out)
-
-    def submapping(self, mapping: dict, path: tuple, name: str) -> dict:
-        value = mapping.get(name)
+    def mapping(self, value, path: tuple) -> dict:
         if value is None:
             return {}
-        full = path + (name,)
         if not isinstance(value, dict):
-            self.fail(full, f"expected a mapping, got {value!r}")
+            self.fail(path, f"expected a mapping, got {value!r}")
         return value
 
-    def check_keys(self, mapping: dict, path: tuple, allowed) -> None:
-        for key in mapping:
-            if key not in allowed:
+    def spec(self, cls, data: dict, path: tuple = ()):
+        """Parse one section (or the top level) into `cls`, field by field."""
+        names = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in names:
                 self.fail(path + (str(key),), f"unknown key {key!r}")
+        values = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            key_path = path + (f.name,)
+            default = f.default if f.default is not MISSING else f.default_factory()
+            value = self.value(data[f.name], default, key_path)
+            check = f.metadata.get("check")
+            problem = check(value) if check else None
+            if problem:
+                self.fail(key_path, f"{f.name} {problem}")
+            values[f.name] = value
+        try:
+            return cls(**values)
+        except ValueError as exc:  # a cross-field rule of the section
+            self.fail(path, str(exc))
 
+    def value(self, raw, default, path: tuple):
+        if is_dataclass(default):
+            return self.spec(type(default), self.mapping(raw, path), path)
+        if isinstance(default, dict):
+            return self.grid_overrides(raw, path)
+        if isinstance(default, tuple):
+            kind = type(default[0])
+            if not isinstance(raw, list):
+                self.fail(path, f"expected a list of {_TYPE_NAMES[kind]}s, got {raw!r}")
+            items = tuple(_scalar(item, kind) for item in raw)
+            if None in items:
+                bad = raw[items.index(None)]
+                self.fail(path, f"expected a list of {_TYPE_NAMES[kind]}s, got {bad!r}")
+            return items
+        parsed = _scalar(raw, type(default))
+        if parsed is None:
+            self.fail(path, f"expected {_TYPE_NAMES[type(default)]}, got {raw!r}")
+        return parsed
 
-def _spec_field_names(spec_cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(spec_cls))
+    def grid_overrides(self, raw, path: tuple) -> dict:
+        """Per-family grids: family -> non-empty list of integers."""
+        out = {}
+        for family, grid in self.mapping(raw, path).items():
+            if family not in _FAMILIES:
+                self.fail(path + (str(family),), f"unknown family {family!r}")
+            if (not isinstance(grid, list) or not grid
+                    or any(_scalar(g, int) is None for g in grid)):
+                self.fail(path + (family,), "grid must be a non-empty list of integers")
+            out[family] = tuple(grid)
+        return out
 
 
 def parse_run_config_text(text: str) -> RunConfig:
@@ -243,31 +300,7 @@ def parse_run_config_text(text: str) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise RunConfigError("run configuration must be a mapping at the top level")
-    parser = _Parser(data, lines)
-    parser.check_keys(data, (), ("mode", "seed", "out_dir", "victim", "space", "weights",
-                                 "search", "retrieval", "oracle", "theory", "bench",
-                                 "memory"))
-
-    mode = parser.scalar(data, (), "mode", str, "search")
-    if mode not in MODES:
-        parser.fail(("mode",), f"mode must be one of {MODES}, got {mode!r}")
-    seed = parser.scalar(data, (), "seed", int, 0)
-    if seed < 0:
-        parser.fail(("seed",), "seed must be >= 0")
-    out_dir = parser.scalar(data, (), "out_dir", str, "out")
-
-    victim = _parse_victim(parser)
-    space = _parse_space(parser)
-    weights = _parse_weights(parser)
-    search = _parse_search(parser)
-    retrieval = _parse_retrieval(parser)
-    oracle = _parse_oracle(parser)
-    theory = _parse_theory(parser)
-    bench = _parse_bench(parser)
-    memory = _parse_memory(parser)
-    return RunConfig(mode=mode, seed=seed, out_dir=out_dir, victim=victim, space=space,
-                     weights=weights, search=search, retrieval=retrieval, oracle=oracle,
-                     theory=theory, bench=bench, memory=memory)
+    return _Walker(lines).spec(RunConfig, data)
 
 
 def parse_run_config(path) -> RunConfig:
@@ -277,219 +310,6 @@ def parse_run_config(path) -> RunConfig:
     except OSError as exc:
         raise RunConfigError(f"cannot read run configuration: {exc}") from None
     return parse_run_config_text(text)
-
-
-def _parse_victim(parser: _Parser) -> VictimSpec:
-    section = parser.submapping(parser.data, (), "victim")
-    path = ("victim",)
-    parser.check_keys(section, path, _spec_field_names(VictimSpec))
-    d = VictimSpec()
-    spec = VictimSpec(
-        kind=parser.scalar(section, path, "kind", str, d.kind),
-        task_id=parser.scalar(section, path, "task_id", str, d.task_id),
-        task_seed=parser.scalar(section, path, "task_seed", int, d.task_seed),
-        noise=parser.scalar(section, path, "noise", float, d.noise),
-        horizon=parser.scalar(section, path, "horizon", int, d.horizon),
-        action_count=parser.scalar(section, path, "action_count", int, d.action_count),
-        obs_dim=parser.scalar(section, path, "obs_dim", int, d.obs_dim),
-        latent_dim=parser.scalar(section, path, "latent_dim", int, d.latent_dim),
-        grid_size=parser.scalar(section, path, "grid_size", int, d.grid_size),
-        weight_seed=parser.scalar(section, path, "weight_seed", int, d.weight_seed),
-        baseline_episodes=parser.scalar(section, path, "baseline_episodes", int,
-                                        d.baseline_episodes),
-        dump_trajectories=parser.scalar(section, path, "dump_trajectories", bool,
-                                        d.dump_trajectories),
-    )
-    if spec.kind not in ("surface", "linear"):
-        parser.fail(path + ("kind",), f"kind must be 'surface' or 'linear', got {spec.kind!r}")
-    if spec.noise < 0:
-        parser.fail(path + ("noise",), "noise must be >= 0")
-    if spec.horizon < 1 or spec.baseline_episodes < 1:
-        parser.fail(path, "horizon and baseline_episodes must be >= 1")
-    return spec
-
-
-def _parse_space(parser: _Parser) -> SpaceSpec:
-    section = parser.submapping(parser.data, (), "space")
-    path = ("space",)
-    parser.check_keys(section, path, _spec_field_names(SpaceSpec))
-    d = SpaceSpec()
-    families = parser.sequence(section, path, "families", str, d.families)
-    valid = tuple(f.value for f in AttackFamily)
-    for fam in families:
-        if fam not in valid:
-            parser.fail(path + ("families",), f"unknown family {fam!r}; valid: {valid}")
-    if not families:
-        parser.fail(path + ("families",), "need at least one family")
-
-    def override(name):
-        sub = parser.submapping(section, path, name)
-        out = {}
-        for fam, grid in sub.items():
-            if fam not in valid:
-                parser.fail(path + (name, fam), f"unknown family {fam!r}")
-            if (not isinstance(grid, list) or not grid
-                    or any(isinstance(g, bool) or not isinstance(g, int) for g in grid)):
-                parser.fail(path + (name, fam), "grid must be a non-empty list of integers")
-            out[fam] = tuple(grid)
-        return out
-
-    spec = SpaceSpec(
-        families=families,
-        restarts=parser.sequence(section, path, "restarts", int, d.restarts),
-        rhos=parser.sequence(section, path, "rhos", float, d.rhos),
-        seeds=parser.sequence(section, path, "seeds", int, d.seeds),
-        epsilons=override("epsilons"),
-        steps=override("steps"),
-    )
-    if not spec.restarts or not spec.rhos or not spec.seeds:
-        parser.fail(path, "restarts, rhos, and seeds grids must be non-empty")
-    return spec
-
-
-def _parse_weights(parser: _Parser) -> WeightsSpec:
-    section = parser.submapping(parser.data, (), "weights")
-    path = ("weights",)
-    parser.check_keys(section, path, _spec_field_names(WeightsSpec))
-    d = WeightsSpec()
-    spec = WeightsSpec(
-        flip=parser.scalar(section, path, "flip", float, d.flip),
-        runtime=parser.scalar(section, path, "runtime", float, d.runtime),
-        variability=parser.scalar(section, path, "variability", float, d.variability),
-    )
-    for name in ("flip", "runtime", "variability"):
-        if getattr(spec, name) < 0:
-            parser.fail(path + (name,), f"{name} weight must be >= 0")
-    return spec
-
-
-def _parse_search(parser: _Parser) -> SearchSpec:
-    section = parser.submapping(parser.data, (), "search")
-    path = ("search",)
-    parser.check_keys(section, path, _spec_field_names(SearchSpec))
-    d = SearchSpec()
-    spec = SearchSpec(
-        budget=parser.scalar(section, path, "budget", int, d.budget),
-        batch=parser.scalar(section, path, "batch", int, d.batch),
-        alpha=parser.scalar(section, path, "alpha", float, d.alpha),
-        alpha_schedule=parser.scalar(section, path, "alpha_schedule", str,
-                                     d.alpha_schedule),
-        beta=parser.scalar(section, path, "beta", float, d.beta),
-        spread=parser.scalar(section, path, "spread", float, d.spread),
-        scout_episodes=parser.scalar(section, path, "scout_episodes", int, d.scout_episodes),
-        confirm_episodes=parser.scalar(section, path, "confirm_episodes", int,
-                                       d.confirm_episodes),
-        confirm_top_k=parser.scalar(section, path, "confirm_top_k", int, d.confirm_top_k),
-        update_memory=parser.scalar(section, path, "update_memory", bool, d.update_memory),
-        dump_proposals=parser.scalar(section, path, "dump_proposals", bool,
-                                     d.dump_proposals),
-    )
-    if not (spec.budget >= spec.batch >= 1):
-        parser.fail(path, "need budget >= batch >= 1")
-    if not (0.0 <= spec.alpha <= 1.0):
-        parser.fail(path + ("alpha",), "alpha must lie in [0, 1]")
-    if spec.alpha_schedule not in ("constant", "harmonic"):
-        parser.fail(path + ("alpha_schedule",), "alpha_schedule must be 'constant' or 'harmonic'")
-    if spec.beta < 0 or spec.spread < 0:
-        parser.fail(path, "beta and spread must be >= 0")
-    if spec.scout_episodes < 1 or spec.confirm_episodes < 1 or spec.confirm_top_k < 1:
-        parser.fail(path, "episode counts and confirm_top_k must be >= 1")
-    return spec
-
-
-def _parse_retrieval(parser: _Parser) -> RetrievalSpec:
-    section = parser.submapping(parser.data, (), "retrieval")
-    path = ("retrieval",)
-    parser.check_keys(section, path, _spec_field_names(RetrievalSpec))
-    d = RetrievalSpec()
-    spec = RetrievalSpec(
-        memory_path=parser.scalar(section, path, "memory_path", str, d.memory_path),
-        top_k=parser.scalar(section, path, "top_k", int, d.top_k),
-        strength=parser.scalar(section, path, "strength", float, d.strength),
-    )
-    if spec.top_k < 1:
-        parser.fail(path + ("top_k",), "top_k must be >= 1")
-    if not (0.0 <= spec.strength <= 1.0):
-        parser.fail(path + ("strength",), "strength must lie in [0, 1]")
-    return spec
-
-
-def _parse_oracle(parser: _Parser) -> OracleSpec:
-    section = parser.submapping(parser.data, (), "oracle")
-    path = ("oracle",)
-    parser.check_keys(section, path, _spec_field_names(OracleSpec))
-    d = OracleSpec()
-    spec = OracleSpec(episodes=parser.scalar(section, path, "episodes", int, d.episodes))
-    if spec.episodes < 0:
-        parser.fail(path + ("episodes",), "episodes must be >= 0")
-    return spec
-
-
-def _parse_theory(parser: _Parser) -> TheorySpec:
-    section = parser.submapping(parser.data, (), "theory")
-    path = ("theory",)
-    parser.check_keys(section, path, _spec_field_names(TheorySpec))
-    d = TheorySpec()
-    spec = TheorySpec(
-        identity_tuples=parser.scalar(section, path, "identity_tuples", int,
-                                      d.identity_tuples),
-        hitting_trials=parser.scalar(section, path, "hitting_trials", int,
-                                     d.hitting_trials),
-        random_pairs=parser.scalar(section, path, "random_pairs", int, d.random_pairs),
-        pair_trials=parser.scalar(section, path, "pair_trials", int, d.pair_trials),
-        coverage_trials=parser.scalar(section, path, "coverage_trials", int,
-                                      d.coverage_trials),
-        coverage_episodes=parser.scalar(section, path, "coverage_episodes", int,
-                                        d.coverage_episodes),
-        delta=parser.scalar(section, path, "delta", float, d.delta),
-        eta=parser.scalar(section, path, "eta", float, d.eta),
-    )
-    for name in ("identity_tuples", "hitting_trials", "random_pairs", "pair_trials",
-                 "coverage_trials", "coverage_episodes"):
-        if getattr(spec, name) < 1:
-            parser.fail(path + (name,), f"{name} must be >= 1")
-    if not (0.0 < spec.delta < 1.0):
-        parser.fail(path + ("delta",), "delta must lie in (0, 1)")
-    if spec.eta < 0:
-        parser.fail(path + ("eta",), "eta must be >= 0")
-    return spec
-
-
-def _parse_bench(parser: _Parser) -> BenchSpec:
-    section = parser.submapping(parser.data, (), "bench")
-    path = ("bench",)
-    parser.check_keys(section, path, _spec_field_names(BenchSpec))
-    d = BenchSpec()
-    spec = BenchSpec(
-        tasks=parser.scalar(section, path, "tasks", int, d.tasks),
-        family_seed=parser.scalar(section, path, "family_seed", int, d.family_seed),
-        noise=parser.scalar(section, path, "noise", float, d.noise),
-        methods=parser.sequence(section, path, "methods", str, d.methods),
-    )
-    if spec.tasks < 1:
-        parser.fail(path + ("tasks",), "tasks must be >= 1")
-    if spec.noise < 0:
-        parser.fail(path + ("noise",), "noise must be >= 0")
-    for method in spec.methods:
-        if method not in METHODS:
-            parser.fail(path + ("methods",), f"unknown method {method!r}; valid: {METHODS}")
-    if not spec.methods:
-        parser.fail(path + ("methods",), "need at least one method")
-    return spec
-
-
-def _parse_memory(parser: _Parser) -> MemorySpec:
-    section = parser.submapping(parser.data, (), "memory")
-    path = ("memory",)
-    parser.check_keys(section, path, _spec_field_names(MemorySpec))
-    d = MemorySpec()
-    spec = MemorySpec(
-        tasks=parser.scalar(section, path, "tasks", int, d.tasks),
-        family_seed=parser.scalar(section, path, "family_seed", int, d.family_seed),
-    )
-    if spec.tasks < 1:
-        parser.fail(path + ("tasks",), "tasks must be >= 1")
-    return spec
 
 
 # ----------------------------------------------------------------------
@@ -542,95 +362,34 @@ def build_search_params(config: RunConfig, seed: int | None = None) -> SearchPar
 # ----------------------------------------------------------------------
 
 
-def _yaml_scalar(value) -> str:
+def _yaml_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):
         return value if value else "''"
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_yaml_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_yaml_value(v)}" for k, v in value.items()) + "}"
     return str(value)
-
-
-def _yaml_list(values) -> str:
-    return "[" + ", ".join(_yaml_scalar(v) for v in values) + "]"
 
 
 def emit_defaults() -> str:
     """The all-default configuration, one documented key per line."""
-    d = RunConfig()
-    lines = [
-        "# attacksearch run configuration (all keys shown with their defaults)",
-        f"mode: {d.mode}                 # {' | '.join(MODES)}",
-        f"seed: {d.seed}",
-        f"out_dir: {d.out_dir}",
-        "",
-        "victim:",
-        f"  kind: {d.victim.kind}          # surface | linear",
-        f"  task_id: {d.victim.task_id}",
-        f"  task_seed: {d.victim.task_seed}",
-        f"  noise: {_yaml_scalar(d.victim.noise)}            # return-noise scale; surface only",
-        f"  horizon: {d.victim.horizon}",
-        f"  action_count: {d.victim.action_count}       # surface only",
-        f"  obs_dim: {d.victim.obs_dim}           # linear only",
-        f"  latent_dim: {d.victim.latent_dim}        # linear only",
-        f"  grid_size: {d.victim.grid_size}          # linear only",
-        f"  weight_seed: {d.victim.weight_seed}        # linear only",
-        f"  baseline_episodes: {d.victim.baseline_episodes}",
-        f"  dump_trajectories: {_yaml_scalar(d.victim.dump_trajectories)}",
-        "",
-        "space:",
-        f"  families: {_yaml_list(d.space.families)}",
-        f"  restarts: {_yaml_list(d.space.restarts)}",
-        f"  rhos: {_yaml_list(d.space.rhos)}",
-        f"  seeds: {_yaml_list(d.space.seeds)}",
-        "  epsilons: {}          # per-family grid overrides, e.g. {apgd-ce: [2, 4, 8]}",
-        "  steps: {}             # per-family grid overrides",
-        "",
-        "weights:",
-        f"  flip: {_yaml_scalar(d.weights.flip)}",
-        f"  runtime: {_yaml_scalar(d.weights.runtime)}",
-        f"  variability: {_yaml_scalar(d.weights.variability)}",
-        "",
-        "search:",
-        f"  budget: {d.search.budget}            # distinct configurations to evaluate",
-        f"  batch: {d.search.batch}",
-        f"  alpha: {_yaml_scalar(d.search.alpha)}            # proposal update rate",
-        f"  alpha_schedule: {d.search.alpha_schedule}   # constant | harmonic",
-        f"  beta: {_yaml_scalar(d.search.beta)}             # exploitation temperature",
-        f"  spread: {_yaml_scalar(d.search.spread)}           # neighborhood deposit weight",
-        f"  scout_episodes: {d.search.scout_episodes}",
-        f"  confirm_episodes: {d.search.confirm_episodes}",
-        f"  confirm_top_k: {d.search.confirm_top_k}",
-        f"  update_memory: {_yaml_scalar(d.search.update_memory)}",
-        f"  dump_proposals: {_yaml_scalar(d.search.dump_proposals)}",
-        "",
-        "retrieval:",
-        f"  memory_path: {_yaml_scalar(d.retrieval.memory_path)}       # empty disables retrieval",
-        f"  top_k: {d.retrieval.top_k}",
-        f"  strength: {_yaml_scalar(d.retrieval.strength)}        # warm-start mixing weight in [0, 1]",
-        "",
-        "oracle:",
-        f"  episodes: {d.oracle.episodes}           # 0 = refuse non-deterministic victims",
-        "",
-        "theory:",
-        f"  identity_tuples: {d.theory.identity_tuples}",
-        f"  hitting_trials: {d.theory.hitting_trials}",
-        f"  random_pairs: {d.theory.random_pairs}",
-        f"  pair_trials: {d.theory.pair_trials}",
-        f"  coverage_trials: {d.theory.coverage_trials}",
-        f"  coverage_episodes: {d.theory.coverage_episodes}",
-        f"  delta: {_yaml_scalar(d.theory.delta)}",
-        f"  eta: {_yaml_scalar(d.theory.eta)}",
-        "",
-        "bench:",
-        f"  tasks: {d.bench.tasks}",
-        f"  family_seed: {d.bench.family_seed}",
-        f"  noise: {_yaml_scalar(d.bench.noise)}",
-        f"  methods: {_yaml_list(d.bench.methods)}",
-        "",
-        "memory:",
-        f"  tasks: {d.memory.tasks}",
-        f"  family_seed: {d.memory.family_seed}",
-    ]
+    lines = ["# attacksearch run configuration (all keys shown with their defaults)"]
+
+    def emit(spec, indent: str) -> None:
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            if is_dataclass(value):
+                lines.extend(["", f"{f.name}:"])
+                emit(value, indent + "  ")
+                continue
+            text = f"{indent}{f.name}: {_yaml_value(value)}"
+            comment = f.metadata.get("comment")
+            lines.append(f"{text:<26} # {comment}" if comment else text)
+
+    emit(RunConfig(), "")
     return "\n".join(lines) + "\n"

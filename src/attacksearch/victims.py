@@ -539,19 +539,10 @@ class LinearWorldModelVictim:
         )
 
 
-def run_attack_step(victim: LinearWorldModelVictim, state: int, config: AttackConfig,
-                    rng: np.random.Generator) -> tuple[np.ndarray, bool, int, int]:
-    """Single-decision attack execution; the caller advances the environment
-    with the attacked action."""
-    outcome = victim.attack_step(state, config, rng)
-    return (outcome.perturbed_obs, outcome.flipped,
-            outcome.clean_action, outcome.attacked_action)
-
-
 # Re-exported here because the observation contract lives with the victims.
 __all__ = [
     "AttackStepOutcome", "EpisodeTrace", "LinearWorldModelVictim",
     "ResponseSurfaceVictim", "RolloutBatch", "VictimDescriptor",
-    "apply_perturbation", "run_attack_step", "surface_task",
+    "apply_perturbation", "surface_task",
     "surface_task_family", "attacks",
 ]

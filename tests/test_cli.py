@@ -288,12 +288,3 @@ def test_theory_mode_default_parameters_all_pass(tmp_path):
     assert len(lines) > 20
     assert all(line.endswith(",PASS") for line in lines[1:])
 
-
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("ATTACKSEARCH_THREADS", "2")
-    cfg, out, _ = bench_setup(tmp_path)
-    summary = (out / "summary.csv").read_bytes()
-    monkeypatch.delenv("ATTACKSEARCH_THREADS")
-    out2 = tmp_path / "serial"
-    assert main(["bench", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out2 / "summary.csv").read_bytes() == summary

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
                                       ConfigSpace, FamilyGrid, SpaceError,
                                       decode_config, default_config_space,
-                                      enumerate_space, neighborhood,
                                       validate_config)
 
 
@@ -32,7 +31,7 @@ def brute_force_neighbors(config, space):
         "rho": grid.rhos, "allocation": grid.allocations,
     }
     out = []
-    for other in enumerate_space(space):
+    for other in space.configs:
         if other == config or other.family != config.family or other.seed != config.seed:
             continue
         diffs = [name for name in ("epsilon", "steps", "restarts", "rho", "allocation")
@@ -47,13 +46,13 @@ def brute_force_neighbors(config, space):
 
 
 def test_enumerate_cardinality_toy(toy_space):
-    configs = enumerate_space(toy_space)
+    configs = toy_space.configs
     assert len(configs) == 24  # 2 families * 3 eps * 2 steps * 2 allocations
     assert len(set(configs)) == 24
 
 
 def test_enumerate_cardinality_default_grid(default_space):
-    configs = enumerate_space(default_space)
+    configs = default_space.configs
     assert len(configs) == brute_force_count(default_space)
     apgd_ce = [c for c in configs if c.family is AttackFamily.APGD_CE]
     # 10 epsilon values x 11 step values x 2 allocations
@@ -63,11 +62,11 @@ def test_enumerate_cardinality_default_grid(default_space):
 def test_enumerate_singleton():
     space = ConfigSpace(grids={AttackFamily.SQUARE: FamilyGrid(
         epsilons=(8,), steps=(20,), allocations=(AllocationRule.FIXED,))})
-    assert len(enumerate_space(space)) == 1
+    assert len(space.configs) == 1
 
 
 def test_enumerate_canonical_order(default_space):
-    configs = enumerate_space(default_space)
+    configs = default_space.configs
     keys = [c.sort_key() for c in configs]
     assert keys == sorted(keys)
 
@@ -83,7 +82,7 @@ def test_non_increasing_grid_rejected():
 
 
 def test_validate_membership(toy_space):
-    for config in enumerate_space(toy_space):
+    for config in toy_space.configs:
         assert validate_config(config, toy_space)
 
 
@@ -115,7 +114,7 @@ def test_encode_format():
 
 
 def test_encode_decode_round_trip(default_space):
-    for config in enumerate_space(default_space)[::37]:
+    for config in default_space.configs[::37]:
         assert decode_config(config.encode()) == config
 
 
@@ -127,7 +126,7 @@ def test_decode_rejects_malformed():
 
 
 def test_reenumeration_after_round_trip(toy_space):
-    configs = enumerate_space(toy_space)
+    configs = toy_space.configs
     recoded = [decode_config(c.encode()) for c in configs]
     assert recoded == list(configs)
 
@@ -138,7 +137,7 @@ def test_neighborhood_interior_count():
         epsilons=(2, 8, 16), steps=(4, 10, 20))})
     interior = AttackConfig(AttackFamily.APGD_CE, 8, 10, 1, 0.75, 0,
                             AllocationRule.FIXED)
-    neighbors = neighborhood(interior, space)
+    neighbors = space.neighbors(interior)
     assert list(neighbors) == brute_force_neighbors(interior, space)
     assert len(neighbors) == 5  # eps 2 + steps 2 + allocation 1
 
@@ -150,9 +149,9 @@ def test_neighborhood_corner_smaller():
                           AllocationRule.FIXED)
     interior = AttackConfig(AttackFamily.APGD_CE, 8, 10, 1, 0.75, 0,
                             AllocationRule.FIXED)
-    corner_n = neighborhood(corner, space)
+    corner_n = space.neighbors(corner)
     assert list(corner_n) == brute_force_neighbors(corner, space)
-    assert len(corner_n) < len(neighborhood(interior, space))
+    assert len(corner_n) < len(space.neighbors(interior))
     assert all(validate_config(n, space) for n in corner_n)
 
 
@@ -161,7 +160,7 @@ def test_neighborhood_alloc_only():
         epsilons=(8,), steps=(10,))})
     config = AttackConfig(AttackFamily.APGD_CE, 8, 10, 1, 0.75, 0,
                           AllocationRule.FIXED)
-    neighbors = neighborhood(config, space)
+    neighbors = space.neighbors(config)
     assert len(neighbors) == 1
     assert neighbors[0].allocation is AllocationRule.MARGIN_LINEAR
 
@@ -170,12 +169,12 @@ def test_neighborhood_rejects_off_space(toy_space):
     config = AttackConfig(AttackFamily.APGD_CE, 255, 4, 1, 0.75, 0,
                           AllocationRule.FIXED)
     with pytest.raises(SpaceError):
-        neighborhood(config, toy_space)
+        toy_space.neighbors(config)
 
 
 def test_neighborhood_membership_and_symmetry(toy_space):
-    configs = enumerate_space(toy_space)
-    neighbor_sets = {c: set(neighborhood(c, toy_space)) for c in configs}
+    configs = toy_space.configs
+    neighbor_sets = {c: set(toy_space.neighbors(c)) for c in configs}
     for c, neighbors in neighbor_sets.items():
         assert c not in neighbors
         for n in neighbors:
@@ -199,7 +198,7 @@ def small_spaces(draw):
 @settings(max_examples=40, deadline=None)
 @given(space=small_spaces())
 def test_enumeration_matches_nested_loop_oracle(space):
-    configs = enumerate_space(space)
+    configs = space.configs
     assert len(configs) == brute_force_count(space)
     assert len(set(configs)) == len(configs)
     assert [decode_config(c.encode()) for c in configs] == list(configs)
@@ -208,6 +207,6 @@ def test_enumeration_matches_nested_loop_oracle(space):
 @settings(max_examples=25, deadline=None)
 @given(space=small_spaces(), data=st.data())
 def test_neighborhood_matches_scan_oracle(space, data):
-    configs = enumerate_space(space)
+    configs = space.configs
     config = data.draw(st.sampled_from(configs))
-    assert list(neighborhood(config, space)) == brute_force_neighbors(config, space)
+    assert list(space.neighbors(config)) == brute_force_neighbors(config, space)

@@ -1,15 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attacksearch.configspace import AllocationRule, AttackConfig, AttackFamily
 from attacksearch.evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityWeights,
-                                     continuous_flip_threshold, estimate_utility,
-                                     flip_rate, make_baseline, reward_drop, scalarize,
-                                     scout_confirm, variability)
+                                     estimate_utility, make_baseline, reward_drop,
+                                     scalarize, scout_confirm, variability)
 from attacksearch.rngutil import Stream
 from attacksearch.victims import surface_task
 
@@ -45,37 +43,6 @@ def test_reward_drop_rejects_non_finite():
         reward_drop(float("nan"), 0.0)
     with pytest.raises(ValueError):
         reward_drop(0.0, float("inf"))
-
-
-# ---------------------------------------------------------------- flip rate
-
-
-def test_flip_rate_identical_sequences():
-    assert flip_rate([0, 1, 2], [0, 1, 2]) == 0.0
-
-
-def test_flip_rate_fully_disagreeing():
-    assert flip_rate([0, 1, 2], [1, 2, 0]) == 1.0
-
-
-def test_flip_rate_continuous_threshold():
-    clean = [np.array([0.0]), np.array([0.0]), np.array([0.0])]
-    attacked = [np.array([0.01]), np.array([0.10]), np.array([0.04])]
-    rate = flip_rate(clean, attacked, action_kind="continuous", kappa=0.05)
-    assert rate == pytest.approx(1.0 / 3.0, abs=0)
-
-
-def test_flip_rate_errors():
-    with pytest.raises(ValueError):
-        flip_rate([], [])
-    with pytest.raises(ValueError):
-        flip_rate([0], [0, 1])
-    with pytest.raises(ValueError):
-        flip_rate([0], [0], action_kind="vector")
-
-
-def test_continuous_flip_threshold_scales():
-    assert continuous_flip_threshold(2.0, 3) == pytest.approx(0.3)
 
 
 # ---------------------------------------------------------------- variability

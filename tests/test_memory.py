@@ -296,6 +296,22 @@ def test_load_missing_key_reports_line(tmp_path):
         AttackMemory.load(path)
 
 
+@pytest.mark.parametrize("short", [(2,), (0, 1, 2)], ids=["one-record", "every-record"])
+def test_load_rejects_wrong_feature_length(tmp_path, rng, short):
+    memory = build_memory(3, rng)
+    path = tmp_path / "memory.jsonl"
+    memory.save(path)
+    lines = path.read_text().splitlines()
+    for i in short:
+        psi = lines[i][lines[i].index('"psi":'):lines[i].index(',"config"')]
+        lines[i] = lines[i].replace(psi, '"psi":[0,1,2,3,4]')
+    path.write_text("\n".join(lines) + "\n")
+    line = short[0] + 1
+    with pytest.raises(RecordFormatError, match=rf"memory\.jsonl:{line}: .*length 12") as err:
+        AttackMemory.load(path)
+    assert (err.value.path, err.value.line_number) == (str(path), line)
+
+
 def test_retrieval_unchanged_without_insert(rng):
     memory = build_memory(20, rng)
     query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH), 10, 1)

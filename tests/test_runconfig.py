@@ -1,4 +1,7 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
+import yaml
 
 from attacksearch.configspace import AttackFamily
 from attacksearch.runconfig import (RunConfig, RunConfigError, build_space,
@@ -104,3 +107,125 @@ def test_grid_override_validation():
         parse_run_config_text("space:\n  epsilons: {apgd-ce: []}\n")
     with pytest.raises(RunConfigError, match="space.steps"):
         parse_run_config_text("space:\n  steps: {apgd-ce: [1.5]}\n")
+
+
+# ---------------------------------------------------------------- key table
+
+SECTIONS = [f.name for f in fields(RunConfig) if is_dataclass(f.default)]
+
+
+def leaf_keys():
+    """(dotted key, default) for every key, in declaration order."""
+    out = []
+    for f in fields(RunConfig):
+        default = getattr(RunConfig(), f.name)
+        if is_dataclass(default):
+            out += [(f"{f.name}.{g.name}", getattr(default, g.name)) for g in fields(default)]
+        else:
+            out.append((f.name, default))
+    return out
+
+
+def place(dotted: str, value: str) -> tuple[str, int]:
+    """A config setting `dotted` to `value`, and the line the key lands on."""
+    if "." not in dotted:
+        return f"# header\n{dotted}: {value}\n", 2
+    section, key = dotted.split(".")
+    return f"mode: search\n{section}:\n  # padding\n  {key}: {value}\n", 4
+
+
+CONSTRAINT_VIOLATIONS = [
+    ("mode", "evaluate"), ("seed", "-1"),
+    ("victim.kind", "cubic"), ("victim.noise", "-0.5"), ("victim.horizon", "0"),
+    ("victim.baseline_episodes", "0"),
+    ("space.families", "[]"), ("space.families", "[apgd-ce, gradient-magic]"),
+    ("space.restarts", "[]"), ("space.rhos", "[]"), ("space.seeds", "[]"),
+    ("weights.flip", "-0.1"), ("weights.runtime", "-0.1"), ("weights.variability", "-0.1"),
+    ("search.alpha", "1.5"), ("search.alpha_schedule", "linear"), ("search.beta", "-1"),
+    ("search.spread", "-1"), ("search.scout_episodes", "0"),
+    ("search.confirm_episodes", "0"), ("search.confirm_top_k", "0"),
+    ("retrieval.top_k", "0"), ("retrieval.strength", "1.5"),
+    ("oracle.episodes", "-1"),
+    ("theory.identity_tuples", "0"), ("theory.hitting_trials", "0"),
+    ("theory.random_pairs", "0"), ("theory.pair_trials", "0"),
+    ("theory.coverage_trials", "0"), ("theory.coverage_episodes", "0"),
+    ("theory.delta", "1.0"), ("theory.delta", "0"), ("theory.eta", "-0.1"),
+    ("bench.tasks", "0"), ("bench.noise", "-1"), ("bench.methods", "[]"),
+    ("bench.methods", "[attacksearch, annealing]"),
+    ("memory.tasks", "0"),
+]
+
+
+def wrong_type(default) -> str:
+    if isinstance(default, bool):
+        return "1"
+    if isinstance(default, int):
+        return "1.5"
+    if isinstance(default, float):
+        return "fast"
+    if isinstance(default, str):
+        return "[a]"
+    if isinstance(default, tuple):
+        return "[[1]]"
+    return "[1]"    # grid overrides need a mapping
+
+
+TYPE_VIOLATIONS = [(key, wrong_type(default)) for key, default in leaf_keys()]
+
+
+@pytest.mark.parametrize("key,value", CONSTRAINT_VIOLATIONS + TYPE_VIOLATIONS)
+def test_bad_value_names_key_and_line(key, value):
+    text, line = place(key, value)
+    with pytest.raises(RunConfigError) as err:
+        parse_run_config_text(text)
+    assert (err.value.key, err.value.line) == (key, line)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_unknown_key_in_section_named(section):
+    with pytest.raises(RunConfigError) as err:
+        parse_run_config_text(f"seed: 1\n{section}:\n  bogus: 1\n")
+    assert (err.value.key, err.value.line) == (f"{section}.bogus", 3)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_non_mapping_section_named(section):
+    with pytest.raises(RunConfigError, match="expected a mapping") as err:
+        parse_run_config_text(f"seed: 1\n{section}: [1, 2]\n")
+    assert (err.value.key, err.value.line) == (section, 2)
+
+
+@pytest.mark.parametrize("grid", ["epsilons", "steps"])
+@pytest.mark.parametrize("entry,key", [
+    ("bogus: [2, 4]", "bogus"), ("apgd-ce: []", "apgd-ce"),
+    ("apgd-ce: [2, 1.5]", "apgd-ce"), ("apgd-ce: [true]", "apgd-ce"), ("fab: 8", "fab"),
+])
+def test_bad_grid_override_names_family_and_line(grid, entry, key):
+    text = f"space:\n  {grid}:\n    fab: [8]\n    {entry}\n"
+    with pytest.raises(RunConfigError) as err:
+        parse_run_config_text(text)
+    assert (err.value.key, err.value.line) == (f"space.{grid}.{key}", 4)
+
+
+def test_budget_batch_rule_names_section_and_line():
+    with pytest.raises(RunConfigError, match="budget >= batch >= 1") as err:
+        parse_run_config_text("seed: 1\nsearch:\n  batch: 20\n")
+    assert (err.value.key, err.value.line) == ("search", 2)
+
+
+def test_emit_defaults_lists_every_key_once_with_its_default():
+    listed, section = [], None
+    for line in emit_defaults().splitlines():
+        body = line.split(" #")[0]
+        if not body.strip() or line.startswith("#"):
+            continue
+        key, _, value = body.partition(":")
+        if not line.startswith(" "):
+            section = key if not value.strip() else None
+            if section:
+                continue
+        listed.append((f"{section}.{key.strip()}" if section else key, yaml.safe_load(value)))
+    expected = leaf_keys()
+    assert [k for k, _ in listed] == [k for k, _ in expected]
+    for (key, value), (_, default) in zip(listed, expected):
+        assert value == (list(default) if isinstance(default, tuple) else default), key

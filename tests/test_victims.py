@@ -6,8 +6,8 @@ import pytest
 
 from attacksearch.configspace import AllocationRule, AttackConfig, AttackFamily
 from attacksearch.rngutil import Stream
-from attacksearch.victims import (ResponseSurfaceVictim, run_attack_step,
-                                  surface_task, surface_task_family)
+from attacksearch.victims import (ResponseSurfaceVictim, surface_task,
+                                  surface_task_family)
 
 
 def cfg(family=AttackFamily.APGD_CE, epsilon=8, steps=6, restarts=1,
@@ -164,19 +164,20 @@ def test_environment_non_interference(linear_victim):
 
 def test_run_attack_step_contract(linear_victim):
     config = cfg(epsilon=12, steps=6)
-    perturbed, flipped, clean_action, attacked_action = run_attack_step(
-        linear_victim, 7, config, Stream(14).generator())
-    assert perturbed.shape == (linear_victim.obs_dim,)
-    assert flipped == (clean_action != attacked_action)
+    outcome = linear_victim.attack_step(7, config, Stream(14).generator())
+    assert outcome.perturbed_obs.shape == (linear_victim.obs_dim,)
+    assert outcome.flipped == (outcome.clean_action != outcome.attacked_action)
     base = linear_victim.observe(7)
-    assert np.abs(perturbed - base).max() <= 12 / 255.0 + np.finfo(float).eps
+    assert np.abs(outcome.perturbed_obs - base).max() <= 12 / 255.0 + np.finfo(float).eps
 
 
 def test_run_attack_step_reproducible(linear_victim):
     config = cfg(epsilon=12, steps=6)
-    a = run_attack_step(linear_victim, 3, config, Stream(15).generator())
-    b = run_attack_step(linear_victim, 3, config, Stream(15).generator())
-    assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+    a = linear_victim.attack_step(3, config, Stream(15).generator())
+    b = linear_victim.attack_step(3, config, Stream(15).generator())
+    assert np.array_equal(a.perturbed_obs, b.perturbed_obs)
+    assert (a.flipped, a.clean_action, a.attacked_action) == \
+        (b.flipped, b.clean_action, b.attacked_action)
 
 
 def test_margin_linear_allocation_uses_fewer_evaluations(linear_victim):
