@@ -9,8 +9,7 @@ guarantees behind the search.
 """
 
 from .configspace import (AllocationRule, AttackConfig, AttackFamily, ConfigSpace,
-                          FamilyGrid, SpaceError, decode_config, default_config_space,
-                          validate_config)
+                          FamilyGrid, SpaceError, decode_config, default_config_space)
 from .evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityReport, UtilityWeights,
                          estimate_utility, make_baseline, reward_drop,
                          scalarize, scout_confirm, variability)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
-from .evaluation import CleanBaseline, UtilityWeights, make_baseline
+from .evaluation import CleanBaseline, make_baseline
 from .logs import (best_so_far_curve, read_trial_log, search_summary_record,
                    threshold_outcome, trial_records, write_trial_log)
 from .memory import AttackMemory, MemoryRecord, summarize, warm_start
@@ -27,7 +27,7 @@ from .rngutil import Stream
 from .runconfig import (METHOD_FULL, METHOD_RANDOM, RunConfig, RunConfigError,
                         build_search_params, build_space, build_victim,
                         build_weights)
-from .search import SearchParams, SearchResult, run_search
+from .search import SearchResult, run_search
 from .serial import write_records
 from .victims import surface_task_family
 
@@ -55,22 +55,36 @@ def _write_text(path: Path, text: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _warm_start_proposal(victim, space: ConfigSpace, config: RunConfig,
-                         baseline: CleanBaseline) -> tuple[ProposalDistribution, int]:
-    """Base proposal, warm-started from the memory when one is configured."""
-    base = proposal.uniform(space.size)
+def _load_memory(config: RunConfig) -> AttackMemory | None:
+    """The configured attack memory, or None when retrieval is disabled."""
     path = config.retrieval.memory_path
     if not path:
-        return base, 0
+        return None
     if not Path(path).exists():
         raise RunConfigError(f"memory file not found: {path}", key="retrieval.memory_path")
-    memory = AttackMemory.load(path)
-    if baseline.batch is None or not baseline.batch.trajectories:
-        return base, 0
+    return AttackMemory.load(path)
+
+
+def _initial_proposal(victim, space: ConfigSpace, baseline: CleanBaseline,
+                      memory: AttackMemory | None, config: RunConfig) -> ProposalDistribution:
+    """Uniform proposal, warm-started from `memory` when there is one and the
+    clean baseline recorded trajectories to summarize."""
+    q0 = proposal.uniform(space.size)
+    if memory is None or baseline.batch is None or not baseline.batch.trajectories:
+        return q0
     summary = summarize(baseline.batch, victim.task_id, victim.horizon)
     retrieved = memory.retrieve(summary, config.retrieval.top_k)
-    warm = warm_start(base, retrieved, config.retrieval.strength, space)
-    return warm.distribution, warm.skipped
+    return warm_start(q0, retrieved, config.retrieval.strength, space).distribution
+
+
+def _memory_record(victim, baseline: CleanBaseline, result: SearchResult,
+                   memory: AttackMemory) -> MemoryRecord:
+    """The record of a finished search, timestamped to go next into `memory`."""
+    summary = summarize(baseline.batch, victim.task_id, victim.horizon)
+    return MemoryRecord(task_id=victim.task_id, features=summary.features,
+                        config=result.best_config, utility=result.best_report.utility,
+                        drop=result.best_report.drop, flip=result.best_report.flip,
+                        timestamp=memory.next_timestamp())
 
 
 def run_search_mode(config: RunConfig, out_dir: Path) -> int:
@@ -80,7 +94,8 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     params = build_search_params(config)
     baseline = make_baseline(victim, config.victim.baseline_episodes,
                              Stream(config.seed, (1,)).generator())
-    q0, _ = _warm_start_proposal(victim, space, config, baseline)
+    memory = _load_memory(config)
+    q0 = _initial_proposal(victim, space, baseline, memory, config)
     result = run_search(victim, space, params, q0, baseline, weights,
                         record_proposals=config.search.dump_proposals)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -101,18 +116,11 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
                              "margin": float(trace.margins[t])})
         write_records(out_dir / "trajectories.jsonl", rows)
     if config.search.update_memory:
-        path = config.retrieval.memory_path
-        if not path:
+        if memory is None:
             raise RunConfigError("update_memory requires retrieval.memory_path",
                                  key="retrieval.memory_path")
-        memory = AttackMemory.load(path) if Path(path).exists() else AttackMemory()
-        summary = summarize(baseline.batch, victim.task_id, victim.horizon)
-        memory.insert(MemoryRecord(
-            task_id=victim.task_id, features=summary.features,
-            config=result.best_config, utility=result.best_report.utility,
-            drop=result.best_report.drop, flip=result.best_report.flip,
-            timestamp=memory.next_timestamp()))
-        memory.save(path)
+        memory.insert(_memory_record(victim, baseline, result, memory))
+        memory.save(config.retrieval.memory_path)
     print(f"best {result.best_config.encode()}  U={result.best_report.utility:.6f}  "
           f"configs={len(result.history.evaluated)}  episodes={result.history.episodes_used}")
     return 0
@@ -361,15 +369,10 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
     for i, victim in enumerate(tasks):
         baseline = make_baseline(victim, config.victim.baseline_episodes,
                                  Stream(config.seed, (2, i)).generator())
-        summary = summarize(baseline.batch, victim.task_id, victim.horizon)
         params = build_search_params(config, seed=Stream(config.seed, (3, i)).state_u64())
         result = run_search(victim, space, params, proposal.uniform(space.size),
                             baseline, weights)
-        memory.insert(MemoryRecord(
-            task_id=victim.task_id, features=summary.features,
-            config=result.best_config, utility=result.best_report.utility,
-            drop=result.best_report.drop, flip=result.best_report.flip,
-            timestamp=memory.next_timestamp()))
+        memory.insert(_memory_record(victim, baseline, result, memory))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     memory.save(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,32 +385,6 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BenchJob:
-    task_index: int
-    task_id: str
-    family: AttackFamily
-    method: str
-
-
-def _family_space(config: RunConfig, family: AttackFamily) -> ConfigSpace:
-    return build_space(replace(config, space=replace(config.space, families=(family.value,))))
-
-
-def _method_search(method: str, victim, space: ConfigSpace, params: SearchParams,
-                   baseline: CleanBaseline, weights: UtilityWeights,
-                   memory: AttackMemory | None, retrieval_top_k: int,
-                   retrieval_strength: float) -> SearchResult:
-    q0 = proposal.uniform(space.size)
-    if method == METHOD_FULL and memory is not None and len(memory) > 0 \
-            and baseline.batch is not None and baseline.batch.trajectories:
-        summary = summarize(baseline.batch, victim.task_id, victim.descriptor.horizon)
-        retrieved = memory.retrieve(summary, retrieval_top_k)
-        q0 = warm_start(q0, retrieved, retrieval_strength, space).distribution
-    refine = method != METHOD_RANDOM
-    return run_search(victim, space, params, q0, baseline, weights, refine=refine)
-
-
 def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
     if config.victim.kind != "surface":
         raise RunConfigError("bench mode generates response-surface task families",
@@ -417,56 +394,35 @@ def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
                                 noise_scale=config.bench.noise,
                                 horizon=config.victim.horizon,
                                 action_count=config.victim.action_count)
-    memory = None
-    if config.retrieval.memory_path:
-        if not Path(config.retrieval.memory_path).exists():
-            raise RunConfigError(f"memory file not found: {config.retrieval.memory_path}",
-                                 key="retrieval.memory_path")
-        memory = AttackMemory.load(config.retrieval.memory_path)
+    memory = _load_memory(config)
     families = tuple(AttackFamily(f) for f in config.space.families)
-    spaces = {f: _family_space(config, f) for f in families}
-    baselines = {}
-    for i, victim in enumerate(tasks):
-        baselines[victim.task_id] = make_baseline(
-            victim, config.victim.baseline_episodes, Stream(config.seed, (4, i)).generator())
-
-    jobs = [
-        _BenchJob(i, victim.task_id, family, method)
-        for i, victim in enumerate(tasks)
-        for family in families
-        for method in config.bench.methods
-    ]
-
-    results: dict[tuple, list[dict]] = {}
-    for job in jobs:
-        space = spaces[job.family]
-        seed = Stream(config.seed, (5, job.task_index, job.family.rank,
-                                    config.bench.methods.index(job.method))).state_u64()
-        params = build_search_params(config, seed=seed)
-        result = _method_search(job.method, tasks[job.task_index], space, params,
-                                baselines[job.task_id], weights, memory,
-                                config.retrieval.top_k, config.retrieval.strength)
-        results[(job.task_id, job.family.value, job.method)] = trial_records(
-            result.history, space)
-
+    spaces = {f: build_space(replace(config, space=replace(config.space, families=(f.value,))))
+              for f in families}
+    methods = config.bench.methods
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (task_id, family, method), records in sorted(results.items()):
-        write_records(out_dir / f"trials__{task_id}__{family}__{method}.jsonl", records)
-
-    counts = {}
-    for (task_id, family, method), records in results.items():
-        counts[(task_id, family, method)] = sum(1 for r in records if r["phase"] == "scout")
-    for task_id in {t for t, _, _ in counts}:
-        for family in {f for _, f, _ in counts}:
-            per_method = {counts[(t, f, m)] for (t, f, m) in counts
-                          if t == task_id and f == family}
-            if len(per_method) > 1:
-                raise RuntimeError(
-                    f"budget parity violated for {task_id}/{family}: {sorted(per_method)}")
+    for i, victim in enumerate(tasks):
+        baseline = make_baseline(victim, config.victim.baseline_episodes,
+                                 Stream(config.seed, (4, i)).generator())
+        for family in families:
+            space = spaces[family]
+            scouts = set()
+            for method in methods:
+                seed = Stream(config.seed, (5, i, family.rank, methods.index(method))).state_u64()
+                q0 = _initial_proposal(victim, space, baseline,
+                                       memory if method == METHOD_FULL else None, config)
+                result = run_search(victim, space, build_search_params(config, seed=seed), q0,
+                                    baseline, weights, refine=method != METHOD_RANDOM)
+                records = trial_records(result.history, space)
+                write_records(out_dir / f"trials__{victim.task_id}__{family.value}__{method}.jsonl",
+                              records)
+                scouts.add(sum(1 for r in records if r["phase"] == "scout"))
+            if len(scouts) > 1:
+                raise RuntimeError(f"budget parity violated for {victim.task_id}/"
+                                   f"{family.value}: {sorted(scouts)}")
 
     write_report_files(out_dir, out_dir)
-    print(f"bench complete: {len(jobs)} searches over {len(tasks)} tasks, "
-          f"{len(families)} families, {len(config.bench.methods)} methods")
+    print(f"bench complete: {len(tasks) * len(families) * len(methods)} searches over "
+          f"{len(tasks)} tasks, {len(families)} families, {len(methods)} methods")
     return 0
 
 

@@ -11,8 +11,10 @@ reproducible.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,16 +65,10 @@ class AttackConfig:
     allocation: AllocationRule
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise SpaceError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.steps < 1:
-            raise SpaceError(f"steps must be >= 1, got {self.steps}")
-        if self.restarts < 1:
-            raise SpaceError(f"restarts must be >= 1, got {self.restarts}")
-        if not (0.0 < self.rho <= 1.0):
-            raise SpaceError(f"rho must be in (0, 1], got {self.rho}")
-        if not (0 <= self.seed <= MAX_SEED):
-            raise SpaceError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        for name, holds, rule in _FIELD_RULES.values():
+            value = getattr(self, name)
+            if not holds(value):
+                raise SpaceError(f"{name} {rule}, got {value}")
 
     def sort_key(self) -> tuple:
         return (self.family.rank, self.epsilon, self.steps, self.restarts,
@@ -114,15 +110,34 @@ def decode_config(text: str) -> AttackConfig:
     )
 
 
-def _check_grid(name: str, family: AttackFamily, values: tuple, *, numeric: bool = True) -> None:
-    if len(values) == 0:
-        raise SpaceError(f"empty grid for field {name!r} of family {family.value!r}")
-    if numeric and any(b <= a for a, b in zip(values, values[1:])):
-        raise SpaceError(f"grid for field {name!r} of family {family.value!r} "
-                         f"must be strictly increasing: {values}")
-    if not numeric and len(set(values)) != len(values):
-        raise SpaceError(f"grid for field {name!r} of family {family.value!r} "
-                         f"has duplicates: {values}")
+# Each numeric grid axis: the config field it sets and the values that field takes.
+_FIELD_RULES = {
+    "epsilons": ("epsilon", lambda v: v >= 0, "must be >= 0"),
+    "steps": ("steps", lambda v: v >= 1, "must be >= 1"),
+    "restarts": ("restarts", lambda v: v >= 1, "must be >= 1"),
+    "rhos": ("rho", lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    "seeds": ("seed", lambda v: 0 <= v <= MAX_SEED, "must be an unsigned 64-bit integer"),
+}
+
+
+def grid_problem(axis: str, values: tuple) -> str | None:
+    """Why `values` cannot be a family's `axis` grid, or None if it can.
+
+    A grid is non-empty and strictly increasing (allocations by rank, i.e.
+    in declaration order, so canonical index order is `sort_key` order),
+    and every value is valid for the config field the axis sets.
+    """
+    if not values:
+        return "must be non-empty"
+    ranks = [getattr(v, "rank", v) for v in values]
+    if any(b <= a for a, b in zip(ranks, ranks[1:])):
+        return f"must be strictly increasing, got {list(values)}"
+    if axis in _FIELD_RULES:
+        name, holds, rule = _FIELD_RULES[axis]
+        bad = [v for v in values if not holds(v)]
+        if bad:
+            return f"holds {bad[0]!r}, but {name} {rule}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -142,14 +157,11 @@ class FamilyGrid:
                 * len(self.rhos) * len(self.seeds) * len(self.allocations))
 
 
-# Mutable axes for local moves: everything except the seed (a pure
-# replication knob) and the family itself.
-_MOVE_AXES = ("epsilons", "steps", "restarts", "rhos", "allocations")
 _AXES = ("epsilons", "steps", "restarts", "rhos", "seeds", "allocations")
-_FIELD_OF_AXIS = {
-    "epsilons": "epsilon", "steps": "steps", "restarts": "restarts",
-    "rhos": "rho", "seeds": "seed", "allocations": "allocation",
-}
+# Positions in _AXES of the axes local moves change: every axis but the
+# seed (a pure replication knob). The family never moves either.
+_MOVE_AXES = (0, 1, 2, 3, 5)
+_EPSILON, _STEPS, _ALLOCATION = 0, 1, 5
 
 
 @dataclass(frozen=True)
@@ -158,6 +170,8 @@ class ConfigSpace:
 
     Canonical order is lexicographic in (family, epsilon, steps, restarts,
     rho, seed, allocation), each ascending; families in declaration order.
+    Within a family the index is a mixed-radix number over the axis
+    positions, so local moves are stride arithmetic on indices.
     """
 
     grids: dict[AttackFamily, FamilyGrid] = field(default_factory=dict)
@@ -166,12 +180,10 @@ class ConfigSpace:
         if not self.grids:
             raise SpaceError("config space must contain at least one family")
         for family, grid in self.grids.items():
-            _check_grid("epsilon", family, grid.epsilons)
-            _check_grid("steps", family, grid.steps)
-            _check_grid("restarts", family, grid.restarts)
-            _check_grid("rho", family, grid.rhos)
-            _check_grid("seed", family, grid.seeds)
-            _check_grid("allocation", family, grid.allocations, numeric=False)
+            for axis in _AXES:
+                problem = grid_problem(axis, getattr(grid, axis))
+                if problem:
+                    raise SpaceError(f"grid {axis!r} of family {family.value!r} {problem}")
 
     @property
     def families(self) -> tuple[AttackFamily, ...]:
@@ -196,6 +208,28 @@ class ConfigSpace:
     def _index(self) -> dict[AttackConfig, int]:
         return {c: i for i, c in enumerate(self.configs)}
 
+    @cached_property
+    def _blocks(self) -> tuple[list[int], list[tuple]]:
+        """Family blocks in canonical order: their end indices, and for each
+        its first index, axis lengths and axis strides."""
+        ends, blocks = [], []
+        for family in self.families:
+            grid = self.grids[family]
+            lengths = tuple(len(getattr(grid, axis)) for axis in _AXES)
+            strides = tuple(math.prod(lengths[k + 1:]) for k in range(len(_AXES)))
+            blocks.append((ends[-1] if ends else 0, lengths, strides))
+            ends.append(blocks[-1][0] + grid.cardinality)
+        return ends, blocks
+
+    def _position(self, index: int) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+        """Axis positions of `index` in its family block, and that block's lengths and strides."""
+        ends, blocks = self._blocks
+        if not 0 <= index < ends[-1]:
+            raise SpaceError(f"config index {index} outside [0, {ends[-1]})")
+        start, lengths, strides = blocks[bisect.bisect_right(ends, index)]
+        offset = index - start
+        return [offset // s % n for s, n in zip(strides, lengths)], lengths, strides
+
     def index_of(self, config: AttackConfig) -> int:
         try:
             return self._index[config]
@@ -205,68 +239,36 @@ class ConfigSpace:
     def contains(self, config: AttackConfig) -> bool:
         return config in self._index
 
-    def neighbors(self, config: AttackConfig) -> tuple[AttackConfig, ...]:
-        """All on-grid configs one grid position away in exactly one field.
+    def neighbors(self, index: int) -> tuple[int, ...]:
+        """Indices of the configs one grid position away in exactly one field, ascending.
 
         Moves: epsilon/steps/restarts/rho one grid position up or down and
         allocation to an adjacent allocation candidate. The family and the
-        seed never move. Never contains `config` itself.
+        seed never move. Never contains `index` itself.
         """
-        if not self.contains(config):
-            raise SpaceError(f"config not in space: {config.encode()}")
-        grid = self.grids[config.family]
+        coords, lengths, strides = self._position(index)
         out = []
-        for axis in _MOVE_AXES:
-            values = getattr(grid, axis)
-            fname = _FIELD_OF_AXIS[axis]
-            pos = values.index(getattr(config, fname))
-            for npos in (pos - 1, pos + 1):
-                if 0 <= npos < len(values):
-                    out.append(_replace_field(config, fname, values[npos]))
-        out.sort(key=AttackConfig.sort_key)
+        for k in _MOVE_AXES:
+            if coords[k] > 0:
+                out.append(index - strides[k])
+            if coords[k] < lengths[k] - 1:
+                out.append(index + strides[k])
+        out.sort()
         return tuple(out)
 
-    def shifted(self, config: AttackConfig, *, epsilon_step: int = 0, steps_step: int = 0,
-                toggle_allocation: bool = False) -> AttackConfig:
-        """Move one grid position along the given directions, clamped at grid ends."""
-        grid = self.grids[config.family]
-        new = config
-        if epsilon_step:
-            new = _replace_field(new, "epsilon",
-                                 _step_on_grid(grid.epsilons, new.epsilon, epsilon_step))
-        if steps_step:
-            new = _replace_field(new, "steps",
-                                 _step_on_grid(grid.steps, new.steps, steps_step))
-        if toggle_allocation and len(grid.allocations) > 1:
-            pos = grid.allocations.index(new.allocation)
-            new = _replace_field(new, "allocation",
-                                 grid.allocations[(pos + 1) % len(grid.allocations)])
-        return new
-
-
-def _step_on_grid(values: tuple, value, direction: int):
-    pos = values.index(value) + (1 if direction > 0 else -1)
-    return values[min(max(pos, 0), len(values) - 1)]
-
-
-def _replace_field(config: AttackConfig, name: str, value) -> AttackConfig:
-    kwargs = {
-        "family": config.family, "epsilon": config.epsilon, "steps": config.steps,
-        "restarts": config.restarts, "rho": config.rho, "seed": config.seed,
-        "allocation": config.allocation,
-    }
-    kwargs[name] = value
-    return AttackConfig(**kwargs)
-
-
-def validate_config(config: AttackConfig, space: ConfigSpace) -> bool:
-    """Membership verdict: true iff every field lies on the family's grid."""
-    grid = space.grids.get(config.family)
-    if grid is None:
-        return False
-    return (config.epsilon in grid.epsilons and config.steps in grid.steps
-            and config.restarts in grid.restarts and config.rho in grid.rhos
-            and config.seed in grid.seeds and config.allocation in grid.allocations)
+    def shifted(self, index: int, *, epsilon_step: int = 0, steps_step: int = 0,
+                toggle_allocation: bool = False) -> int:
+        """Move one grid position along the given directions: epsilon and steps
+        clamp at their grid ends, the allocation toggle wraps to the first candidate."""
+        coords, lengths, strides = self._position(index)
+        for k, step in ((_EPSILON, epsilon_step), (_STEPS, steps_step)):
+            if step:
+                target = min(max(coords[k] + (1 if step > 0 else -1), 0), lengths[k] - 1)
+                index += (target - coords[k]) * strides[k]
+        if toggle_allocation:
+            k = _ALLOCATION
+            index += ((coords[k] + 1) % lengths[k] - coords[k]) * strides[k]
+        return index
 
 
 def _even_range(lo: int, hi: int, step: int) -> tuple[int, ...]:

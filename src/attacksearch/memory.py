@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import AttackConfig, ConfigSpace, decode_config, validate_config
+from .configspace import AttackConfig, ConfigSpace, decode_config
 from .proposal import ProposalDistribution
-from .serial import RecordFormatError, read_records, write_records
+from .serial import RecordFormatError, read_records, record_line, write_records
 from .victims import RolloutBatch
 
 FEATURE_LENGTH = 12
@@ -216,7 +216,8 @@ class AttackMemory:
                     timestamp=float(row["ts"]),
                 ))
             except (KeyError, TypeError, ValueError) as exc:
-                raise RecordFormatError(str(path), number, f"bad memory record: {exc}") from None
+                raise RecordFormatError(str(path), record_line(path, number),
+                                        f"bad memory record: {exc}") from None
         return cls(records=records)
 
 
@@ -242,7 +243,7 @@ def warm_start(q_base: ProposalDistribution, retrieved, lam: float,
     retained: list[tuple[int, float]] = []
     skipped = 0
     for record, sim in retrieved:
-        if not validate_config(record.config, space):
+        if not space.contains(record.config):
             skipped += 1
             continue
         retained.append((space.index_of(record.config), sim + record.utility))

@@ -11,10 +11,11 @@ parses back to the all-default config.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 
 import yaml
 
-from .configspace import AttackFamily, ConfigSpace, default_config_space
+from .configspace import AttackFamily, ConfigSpace, default_config_space, grid_problem
 from .evaluation import UtilityWeights
 from .search import SearchParams
 from .victims import LinearWorldModelVictim, surface_task
@@ -66,9 +67,6 @@ def _members(choices, noun: str):
     return check
 
 
-_NON_EMPTY = _rule(bool, "must be non-empty")
-
-
 def _key(default, comment: str = "", check=None):
     """A run-config key: its default, its `emit_defaults` comment, its constraint."""
     meta = {"comment": comment, "check": check}
@@ -96,9 +94,9 @@ class VictimSpec:
 @dataclass(frozen=True)
 class SpaceSpec:
     families: tuple[str, ...] = _key(_FAMILIES, check=_members(_FAMILIES, "family"))
-    restarts: tuple[int, ...] = _key((1,), check=_NON_EMPTY)
-    rhos: tuple[float, ...] = _key((0.75,), check=_NON_EMPTY)
-    seeds: tuple[int, ...] = _key((0,), check=_NON_EMPTY)
+    restarts: tuple[int, ...] = _key((1,), check=partial(grid_problem, "restarts"))
+    rhos: tuple[float, ...] = _key((0.75,), check=partial(grid_problem, "rhos"))
+    seeds: tuple[int, ...] = _key((0,), check=partial(grid_problem, "seeds"))
     epsilons: dict = _key({}, "per-family grid overrides, e.g. {apgd-ce: [2, 4, 8]}")
     steps: dict = _key({}, "per-family grid overrides")
 
@@ -281,14 +279,16 @@ class _Walker:
         return parsed
 
     def grid_overrides(self, raw, path: tuple) -> dict:
-        """Per-family grids: family -> non-empty list of integers."""
+        """Per-family grids of the `path[-1]` axis: family -> list of integers."""
         out = {}
         for family, grid in self.mapping(raw, path).items():
             if family not in _FAMILIES:
                 self.fail(path + (str(family),), f"unknown family {family!r}")
-            if (not isinstance(grid, list) or not grid
-                    or any(_scalar(g, int) is None for g in grid)):
-                self.fail(path + (family,), "grid must be a non-empty list of integers")
+            if not isinstance(grid, list) or any(_scalar(g, int) is None for g in grid):
+                self.fail(path + (family,), "grid must be a list of integers")
+            problem = grid_problem(path[-1], tuple(grid))
+            if problem:
+                self.fail(path + (family,), f"{path[-1]} {problem}")
             out[family] = tuple(grid)
         return out
 

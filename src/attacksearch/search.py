@@ -131,8 +131,8 @@ class SearchHistory:
         self.current_signal[entry.config_index] = entry.signal
         self.virtual_seconds += entry.report.runtime * entry.report.episodes
 
-    def close_round(self, space: ConfigSpace) -> None:
-        idx, value = _argmax_utility(self.current_utility, space)
+    def close_round(self) -> None:
+        idx, value = _argmax_utility(self.current_utility)
         if self.best_per_round and value < self.best_per_round[-1][1]:
             idx, value = self.best_per_round[-1]
         self.best_per_round.append((idx, value))
@@ -142,8 +142,9 @@ class SearchHistory:
         return len(self.best_per_round)
 
 
-def _argmax_utility(utilities: dict[int, float], space: ConfigSpace) -> tuple[int, float]:
-    best_idx = min(utilities, key=lambda i: (-utilities[i], space.configs[i].sort_key()))
+def _argmax_utility(utilities: dict[int, float]) -> tuple[int, float]:
+    """Best utility; ties go to the lowest index, which is the lowest `sort_key`."""
+    best_idx = min(utilities, key=lambda i: (-utilities[i], i))
     return best_idx, utilities[best_idx]
 
 
@@ -206,16 +207,12 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
         if spread <= 0:
             continue
         signal = history.current_signal.get(idx, FeedbackSignal())
-        center = space.shifted(space.configs[idx],
-                               epsilon_step=signal.epsilon_step,
+        center = space.shifted(idx, epsilon_step=signal.epsilon_step,
                                steps_step=signal.steps_step,
                                toggle_allocation=signal.toggle_allocation)
         neighbors = space.neighbors(center)
-        if not neighbors:
-            continue
-        deposit = spread * weight / len(neighbors)
-        for n in neighbors:
-            probs[space.index_of(n)] += deposit
+        if neighbors:
+            probs[list(neighbors)] += spread * weight / len(neighbors)
     return ProposalDistribution(probs / probs.sum())
 
 
@@ -265,23 +262,19 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         outcome = scout_confirm(victim, configs, params.scout_episodes,
                                 params.confirm_episodes, top_k, baseline,
                                 stream.child(round_index, 1), weights)
-        for ev in outcome.scouts:
-            idx = space.index_of(ev.report.config)
-            history.record(EvalEntry(round_index, "scout", idx, ev.report,
-                                     feedback(ev.report, weights), ev.seed))
-            best_eval[idx] = ev
-        for ev in outcome.confirms:
-            idx = space.index_of(ev.report.config)
-            history.record(EvalEntry(round_index, "confirm", idx, ev.report,
+        batch_index = dict(zip(configs, batch))
+        for ev in outcome.scouts + outcome.confirms:
+            idx = batch_index[ev.report.config]
+            history.record(EvalEntry(round_index, ev.report.phase, idx, ev.report,
                                      feedback(ev.report, weights), ev.seed))
             best_eval[idx] = ev
         history.episodes_used += outcome.episodes_used
-        history.close_round(space)
+        history.close_round()
         if refine and len(history.evaluated) < budget:
             q_hat = induced_proposal(history, space, params.beta, params.spread)
             q = update(q, q_hat, params.alpha_at(round_index + 1))
         round_index += 1
-    best_index, _ = _argmax_utility(history.current_utility, space)
+    best_index, _ = _argmax_utility(history.current_utility)
     return SearchResult(best_config=space.configs[best_index],
                         best_report=best_eval[best_index].report,
                         best_index=best_index, history=history)

@@ -6,6 +6,7 @@ significant digits so that every float round-trips exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -65,3 +66,10 @@ def read_records(path) -> list[dict[str, Any]]:
                 raise RecordFormatError(str(path), number, "record is not an object")
             out.append(obj)
     return out
+
+
+def record_line(path, ordinal: int) -> int:
+    """File line of the `ordinal`-th (1-based) record `read_records` returns."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (number for number, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, ordinal - 1, None))

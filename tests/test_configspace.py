@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import strategies as st
 
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
                                       ConfigSpace, FamilyGrid, SpaceError,
-                                      decode_config, default_config_space,
-                                      validate_config)
+                                      decode_config, default_config_space)
 
 
 def brute_force_count(space: ConfigSpace) -> int:
@@ -43,6 +43,29 @@ def brute_force_neighbors(config, space):
         if abs(values.index(getattr(other, name)) - values.index(getattr(config, name))) == 1:
             out.append(other)
     return sorted(out, key=AttackConfig.sort_key)
+
+
+def neighbor_configs(space, config):
+    return [space.configs[i] for i in space.neighbors(space.index_of(config))]
+
+
+def shifted_oracle(space, config, epsilon_step, steps_step, toggle_allocation):
+    """Config-level shift: clamp epsilon and steps at grid ends, wrap the allocation."""
+    grid = space.grids[config.family]
+
+    def step(values, value, direction):
+        if not direction:
+            return value
+        pos = values.index(value) + (1 if direction > 0 else -1)
+        return values[min(max(pos, 0), len(values) - 1)]
+
+    allocation = config.allocation
+    if toggle_allocation:
+        pos = grid.allocations.index(allocation)
+        allocation = grid.allocations[(pos + 1) % len(grid.allocations)]
+    return dataclasses.replace(config, epsilon=step(grid.epsilons, config.epsilon, epsilon_step),
+                               steps=step(grid.steps, config.steps, steps_step),
+                               allocation=allocation)
 
 
 def test_enumerate_cardinality_toy(toy_space):
@@ -81,20 +104,27 @@ def test_non_increasing_grid_rejected():
         ConfigSpace(grids={AttackFamily.FAB: FamilyGrid(epsilons=(4, 2), steps=(6,))})
 
 
+def test_reversed_allocation_grid_rejected():
+    with pytest.raises(SpaceError, match="allocations"):
+        ConfigSpace(grids={AttackFamily.FAB: FamilyGrid(
+            epsilons=(2,), steps=(6,),
+            allocations=(AllocationRule.MARGIN_LINEAR, AllocationRule.FIXED))})
+
+
 def test_validate_membership(toy_space):
     for config in toy_space.configs:
-        assert validate_config(config, toy_space)
+        assert toy_space.contains(config)
 
 
 def test_validate_off_grid(default_space):
     config = AttackConfig(AttackFamily.APGD_CE, 255, 10, 1, 0.75, 0,
                           AllocationRule.FIXED)
-    assert not validate_config(config, default_space)
+    assert not default_space.contains(config)
 
 
 def test_validate_absent_family(toy_space):
     config = AttackConfig(AttackFamily.SQUARE, 8, 4, 1, 0.75, 0, AllocationRule.FIXED)
-    assert not validate_config(config, toy_space)
+    assert not toy_space.contains(config)
 
 
 def test_config_field_invariants():
@@ -137,8 +167,9 @@ def test_neighborhood_interior_count():
         epsilons=(2, 8, 16), steps=(4, 10, 20))})
     interior = AttackConfig(AttackFamily.APGD_CE, 8, 10, 1, 0.75, 0,
                             AllocationRule.FIXED)
-    neighbors = space.neighbors(interior)
-    assert list(neighbors) == brute_force_neighbors(interior, space)
+    neighbors = space.neighbors(space.index_of(interior))
+    assert neighbor_configs(space, interior) == brute_force_neighbors(interior, space)
+    assert list(neighbors) == sorted(neighbors)
     assert len(neighbors) == 5  # eps 2 + steps 2 + allocation 1
 
 
@@ -149,10 +180,9 @@ def test_neighborhood_corner_smaller():
                           AllocationRule.FIXED)
     interior = AttackConfig(AttackFamily.APGD_CE, 8, 10, 1, 0.75, 0,
                             AllocationRule.FIXED)
-    corner_n = space.neighbors(corner)
-    assert list(corner_n) == brute_force_neighbors(corner, space)
-    assert len(corner_n) < len(space.neighbors(interior))
-    assert all(validate_config(n, space) for n in corner_n)
+    corner_n = neighbor_configs(space, corner)
+    assert corner_n == brute_force_neighbors(corner, space)
+    assert len(corner_n) < len(neighbor_configs(space, interior))
 
 
 def test_neighborhood_alloc_only():
@@ -160,26 +190,40 @@ def test_neighborhood_alloc_only():
         epsilons=(8,), steps=(10,))})
     config = AttackConfig(AttackFamily.APGD_CE, 8, 10, 1, 0.75, 0,
                           AllocationRule.FIXED)
-    neighbors = space.neighbors(config)
+    neighbors = neighbor_configs(space, config)
     assert len(neighbors) == 1
     assert neighbors[0].allocation is AllocationRule.MARGIN_LINEAR
 
 
 def test_neighborhood_rejects_off_space(toy_space):
-    config = AttackConfig(AttackFamily.APGD_CE, 255, 4, 1, 0.75, 0,
-                          AllocationRule.FIXED)
-    with pytest.raises(SpaceError):
-        toy_space.neighbors(config)
+    for index in (-1, toy_space.size, 10**6):
+        with pytest.raises(SpaceError, match="outside"):
+            toy_space.neighbors(index)
+        with pytest.raises(SpaceError, match="outside"):
+            toy_space.shifted(index, epsilon_step=1)
 
 
 def test_neighborhood_membership_and_symmetry(toy_space):
-    configs = toy_space.configs
-    neighbor_sets = {c: set(toy_space.neighbors(c)) for c in configs}
-    for c, neighbors in neighbor_sets.items():
-        assert c not in neighbors
+    neighbor_sets = [set(toy_space.neighbors(i)) for i in range(toy_space.size)]
+    for i, neighbors in enumerate(neighbor_sets):
+        assert i not in neighbors
         for n in neighbors:
-            assert validate_config(n, toy_space)
-            assert c in neighbor_sets[n]
+            assert 0 <= n < toy_space.size
+            assert toy_space.configs[n].family is toy_space.configs[i].family
+            assert i in neighbor_sets[n]
+
+
+def test_shifted_clamps_and_wraps():
+    space = ConfigSpace(grids={AttackFamily.APGD_CE: FamilyGrid(
+        epsilons=(2, 8, 16), steps=(4, 10))})
+    top = space.index_of(AttackConfig(AttackFamily.APGD_CE, 16, 10, 1, 0.75, 0,
+                                      AllocationRule.MARGIN_LINEAR))
+    assert space.shifted(top, epsilon_step=1, steps_step=1) == top
+    assert space.shifted(0, epsilon_step=-1, steps_step=-1) == 0
+    wrapped = space.configs[space.shifted(top, toggle_allocation=True)]
+    assert (wrapped.epsilon, wrapped.steps, wrapped.allocation) == \
+        (16, 10, AllocationRule.FIXED)
+    assert space.shifted(top) == top
 
 
 @st.composite
@@ -191,7 +235,12 @@ def small_spaces(draw):
         eps = tuple(sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4))))
         steps = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=3))))
         restarts = tuple(sorted(draw(st.sets(st.integers(1, 3), min_size=1, max_size=2))))
-        grids[family] = FamilyGrid(epsilons=eps, steps=steps, restarts=restarts)
+        seeds = tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=2))))
+        allocations = draw(st.sampled_from([(AllocationRule.FIXED,),
+                                            (AllocationRule.MARGIN_LINEAR,),
+                                            tuple(AllocationRule)]))
+        grids[family] = FamilyGrid(epsilons=eps, steps=steps, restarts=restarts,
+                                   seeds=seeds, allocations=allocations)
     return ConfigSpace(grids=grids)
 
 
@@ -209,4 +258,17 @@ def test_enumeration_matches_nested_loop_oracle(space):
 def test_neighborhood_matches_scan_oracle(space, data):
     configs = space.configs
     config = data.draw(st.sampled_from(configs))
-    assert list(space.neighbors(config)) == brute_force_neighbors(config, space)
+    assert neighbor_configs(space, config) == brute_force_neighbors(config, space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=small_spaces(), data=st.data(),
+       epsilon_step=st.integers(-2, 2), steps_step=st.integers(-2, 2),
+       toggle_allocation=st.booleans())
+def test_shifted_matches_config_oracle(space, data, epsilon_step, steps_step,
+                                       toggle_allocation):
+    index = data.draw(st.integers(0, space.size - 1))
+    moved = space.shifted(index, epsilon_step=epsilon_step, steps_step=steps_step,
+                          toggle_allocation=toggle_allocation)
+    assert space.configs[moved] == shifted_oracle(space, space.configs[index], epsilon_step,
+                                                  steps_step, toggle_allocation)

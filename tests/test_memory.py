@@ -289,11 +289,17 @@ def test_load_corrupt_file_reports_line(tmp_path, rng):
         AttackMemory.load(path)
 
 
-def test_load_missing_key_reports_line(tmp_path):
+def test_load_missing_key_reports_line(tmp_path, rng):
     path = tmp_path / "memory.jsonl"
     path.write_text('{"task_id":"x"}\n')
     with pytest.raises(RecordFormatError, match=":1:"):
         AttackMemory.load(path)
+    # blank lines count: the error names the file line, not the record ordinal
+    build_memory(1, rng).save(path)
+    path.write_text(path.read_text() + '\n{"task_id":"x"}\n')
+    with pytest.raises(RecordFormatError, match=":3:") as err:
+        AttackMemory.load(path)
+    assert err.value.line_number == 3
 
 
 @pytest.mark.parametrize("short", [(2,), (0, 1, 2)], ids=["one-record", "every-record"])

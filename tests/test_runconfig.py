@@ -140,6 +140,8 @@ CONSTRAINT_VIOLATIONS = [
     ("victim.baseline_episodes", "0"),
     ("space.families", "[]"), ("space.families", "[apgd-ce, gradient-magic]"),
     ("space.restarts", "[]"), ("space.rhos", "[]"), ("space.seeds", "[]"),
+    ("space.restarts", "[0]"), ("space.rhos", "[0.5, 0.5]"), ("space.rhos", "[1.5]"),
+    ("space.seeds", "[-1]"), ("space.seeds", "[3, 1]"),
     ("weights.flip", "-0.1"), ("weights.runtime", "-0.1"), ("weights.variability", "-0.1"),
     ("search.alpha", "1.5"), ("search.alpha_schedule", "linear"), ("search.beta", "-1"),
     ("search.spread", "-1"), ("search.scout_episodes", "0"),
@@ -199,6 +201,8 @@ def test_non_mapping_section_named(section):
 @pytest.mark.parametrize("entry,key", [
     ("bogus: [2, 4]", "bogus"), ("apgd-ce: []", "apgd-ce"),
     ("apgd-ce: [2, 1.5]", "apgd-ce"), ("apgd-ce: [true]", "apgd-ce"), ("fab: 8", "fab"),
+    ("apgd-ce: [-2, 4]", "apgd-ce"), ("apgd-ce: [4, 4]", "apgd-ce"),
+    ("apgd-ce: [8, 4]", "apgd-ce"),
 ])
 def test_bad_grid_override_names_family_and_line(grid, entry, key):
     text = f"space:\n  {grid}:\n    fab: [8]\n    {entry}\n"

@@ -171,10 +171,10 @@ def test_induced_single_config_spread_half():
     history = history_with(space, [(0, config, report(config=config), FeedbackSignal())])
     q = induced_proposal(history, space, beta=0.0, spread=1.0)
     idx = space.index_of(config)
-    neighbors = space.neighbors(config)
+    neighbors = space.neighbors(idx)
     assert q.probs[idx] == pytest.approx(0.5, abs=1e-12)
     for n in neighbors:
-        assert q.probs[space.index_of(n)] == pytest.approx(0.5 / len(neighbors), abs=1e-12)
+        assert q.probs[n] == pytest.approx(0.5 / len(neighbors), abs=1e-12)
 
 
 def test_induced_shifts_along_feedback_direction():
@@ -183,16 +183,15 @@ def test_induced_shifts_along_feedback_direction():
     signal = FeedbackSignal(tags=("weak-drop",), epsilon_step=1)
     history = history_with(space, [(0, config, report(config=config), signal)])
     q = induced_proposal(history, space, beta=0.0, spread=1.0)
-    shifted_center = space.shifted(config, epsilon_step=1)
-    assert shifted_center.epsilon == 12
+    self_idx = space.index_of(config)
+    shifted_center = space.shifted(self_idx, epsilon_step=1)
+    assert space.configs[shifted_center].epsilon == 12
     neighbors = space.neighbors(shifted_center)
     share = 0.5 / len(neighbors)
-    self_idx = space.index_of(config)
-    for n in neighbors:
-        i = space.index_of(n)
+    for i in neighbors:
         expected = share + (0.5 if i == self_idx else 0.0)
         assert q.probs[i] == pytest.approx(expected, abs=1e-12)
-    assert space.index_of(shifted_center) not in {space.index_of(n) for n in neighbors}
+    assert shifted_center not in neighbors
 
 
 def test_induced_requires_history():
