@@ -67,6 +67,28 @@ search:
   confirm_episodes: 2
   confirm_top_k: 1
 """),
+    "search-linear-restarts": (("search",), """seed: 3
+out_dir: out
+victim:
+  kind: linear
+  horizon: 4
+  obs_dim: 16
+  latent_dim: 4
+  baseline_episodes: 2
+  dump_trajectories: true
+space:
+  families: [square, physcond-wma]
+  epsilons: {square: [4, 12], physcond-wma: [4, 12]}
+  steps: {square: [8, 16], physcond-wma: [4, 8]}
+  restarts: [1, 2]
+search:
+  budget: 8
+  batch: 4
+  scout_episodes: 1
+  confirm_episodes: 2
+  confirm_top_k: 1
+  dump_proposals: true
+"""),
     "memory-bench": (("memory", "bench"), """seed: 1
 out_dir: out
 """ + SPACE + """search:
