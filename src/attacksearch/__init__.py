@@ -23,7 +23,6 @@ from .theory import (BoundReport, EffectiveSet, UtilityMap, baseline_gap,
                      gibbs_reference, hit_probability, hitting_time_bound,
                      hoeffding_bound, monte_carlo_hitting_time, noisy_correction_check)
 from .victims import (LinearWorldModelVictim, ResponseSurfaceVictim, RolloutBatch,
-                      VictimDescriptor, apply_perturbation, surface_task,
-                      surface_task_family)
+                      apply_perturbation, surface_task, surface_task_family)
 
 __version__ = "0.1.0"

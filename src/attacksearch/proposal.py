@@ -53,16 +53,6 @@ def point_mass(size: int, index: int) -> ProposalDistribution:
     return ProposalDistribution(probs)
 
 
-def from_weights(weights) -> ProposalDistribution:
-    arr = np.asarray(weights, dtype=float)
-    if np.any(arr < 0):
-        raise ProposalError("weights must be >= 0")
-    total = arr.sum()
-    if total <= 0:
-        raise ProposalError("weights must have positive total mass")
-    return ProposalDistribution(arr / total)
-
-
 def _check_aligned(a: ProposalDistribution, b: ProposalDistribution) -> None:
     if a.size != b.size:
         raise ProposalError(f"misaligned supports: {a.size} vs {b.size}")

@@ -63,7 +63,10 @@ def _members(choices, noun: str):
         if not values:
             return f"must name at least one {noun}"
         bad = [v for v in values if v not in choices]
-        return f"names unknown {noun} {bad[0]!r}; valid: {choices}" if bad else None
+        if bad:
+            return f"names unknown {noun} {bad[0]!r}; valid: {choices}"
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        return f"names {noun} {repeated[0]!r} twice" if repeated else None
     return check
 
 

@@ -39,11 +39,6 @@ class FeedbackSignal:
     steps_step: int = 0
     toggle_allocation: bool = False
 
-    @property
-    def is_zero(self) -> bool:
-        return (not self.tags and self.epsilon_step == 0
-                and self.steps_step == 0 and not self.toggle_allocation)
-
 
 def feedback(report: UtilityReport,
              weights: UtilityWeights = DEFAULT_WEIGHTS) -> FeedbackSignal:

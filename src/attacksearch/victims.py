@@ -13,11 +13,13 @@ Two built-ins:
 * `LinearWorldModelVictim` - a deterministic gridworld whose agent acts
   through a linear encoder, linear latent dynamics, and a softmax-linear
   policy. Observation attacks are genuinely executed against this victim:
-  perturbations are synthesized per decision point, projected to the
-  epsilon/255 ball and the observation box, and the environment advances
-  with the attacked action while its dynamics stay untouched.
+  clean and attacked rollouts are one episode loop, and the attacked one
+  perturbs each observation before the policy reads it. Perturbations are
+  synthesized per decision point, projected to the epsilon/255 ball and
+  the observation box, and the environment advances with the attacked
+  action while its dynamics stay untouched.
 
-Both victims are immutable descriptors plus pure rollout functions; given
+Both victims are immutable parameter records plus pure rollout functions; given
 equal seeds and arguments, rollouts are bit-reproducible except for the
 measured wall-clock field (utilities only ever consume the virtual clock).
 """
@@ -32,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import attacks
-from .attacks import LinearAttackSurface, apply_perturbation, synthesize_delta
+from .attacks import LinearAttackSurface, _softmax, apply_perturbation, synthesize_delta
 from .configspace import AllocationRule, AttackConfig, AttackFamily
 from .rngutil import Stream
 
@@ -55,14 +57,6 @@ _FAMILY_STEPS_RANGE = {
     AttackFamily.SQUARE: (20.0, 160.0),
     AttackFamily.PHYSCOND_WMA: (6.0, 32.0),
 }
-
-
-@dataclass(frozen=True)
-class VictimDescriptor:
-    task_id: str
-    action_kind: str     # "discrete" | "continuous"
-    action_count: int
-    horizon: int
 
 
 @dataclass(frozen=True)
@@ -128,10 +122,6 @@ class ResponseSurfaceVictim:
             raise ValueError("theta components must lie in [0, 1]")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
-
-    @property
-    def descriptor(self) -> VictimDescriptor:
-        return VictimDescriptor(self.task_id, "discrete", self.action_count, self.horizon)
 
     @property
     def is_deterministic(self) -> bool:
@@ -300,15 +290,6 @@ def surface_task_family(family_seed: int, n_tasks: int, noise_scale: float = 0.0
 
 
 @dataclass(frozen=True)
-class AttackStepOutcome:
-    perturbed_obs: np.ndarray
-    flipped: bool
-    clean_action: int
-    attacked_action: int
-    loss_evals: int
-
-
-@dataclass(frozen=True)
 class LinearWorldModelVictim:
     """Deterministic gridworld agent with linear encoder/dynamics/policy."""
 
@@ -329,10 +310,6 @@ class LinearWorldModelVictim:
             raise ValueError("victim dimensions too small")
 
     @property
-    def descriptor(self) -> VictimDescriptor:
-        return VictimDescriptor(self.task_id, "discrete", self.action_count, self.horizon)
-
-    @property
     def n_cells(self) -> int:
         return self.grid_size * self.grid_size
 
@@ -350,22 +327,10 @@ class LinearWorldModelVictim:
         # agent is competent and action flips genuinely cost return. The
         # rank-k least-squares fit plus target jitter leaves imperfections.
         targets = np.zeros((a, self.n_cells))
-        n = self.grid_size
-        g_row, g_col = divmod(self.n_cells - 1, n)
         for cell in range(self.n_cells):
-            row, col = divmod(cell, n)
-            dist = abs(row - g_row) + abs(col - g_col)
+            dist = self._goal_distance(cell)
             for action in range(a):
-                nrow, ncol = row, col
-                if action == 0:
-                    nrow = max(row - 1, 0)
-                elif action == 1:
-                    nrow = min(row + 1, n - 1)
-                elif action == 2:
-                    ncol = max(col - 1, 0)
-                else:
-                    ncol = min(col + 1, n - 1)
-                ndist = abs(nrow - g_row) + abs(ncol - g_col)
+                ndist = self._goal_distance(self._move(cell, action))
                 targets[action, cell] = 1.0 if ndist < dist else (-1.0 if ndist > dist else -0.2)
         targets += rng.normal(0.0, 0.15, size=targets.shape)
         latent_states = encoder @ render
@@ -390,25 +355,16 @@ class LinearWorldModelVictim:
     def observe(self, cell: int) -> np.ndarray:
         return self._weights["render"][:, cell].copy()
 
-    def encode(self, obs: np.ndarray) -> np.ndarray:
-        return self._weights["encoder"] @ obs
-
-    def policy_logits(self, latent: np.ndarray) -> np.ndarray:
-        return self._weights["policy"] @ latent
-
     def _policy(self, obs: np.ndarray) -> tuple[int, float, np.ndarray]:
         """Greedy action, top-2 probability margin, and the latent."""
-        latent = self.encode(obs)
-        logits = self.policy_logits(latent)
-        shifted = logits - logits.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
+        latent = self._weights["encoder"] @ obs
+        probs = _softmax(self._weights["policy"] @ latent)
         order = np.argsort(probs)[::-1]
         margin = float(probs[order[0]] - probs[order[1]])
         return int(order[0]), margin, latent
 
-    def transition(self, cell: int, action: int) -> tuple[int, float, bool]:
-        """Deterministic grid move; returns (next_cell, reward, done)."""
+    def _move(self, cell: int, action: int) -> int:
+        """Grid move: up, down, left or right, clamped at the walls."""
         n = self.grid_size
         row, col = divmod(cell, n)
         if action == 0:
@@ -419,12 +375,19 @@ class LinearWorldModelVictim:
             col = max(col - 1, 0)
         else:
             col = min(col + 1, n - 1)
-        nxt = row * n + col
+        return row * n + col
+
+    def _goal_distance(self, cell: int) -> int:
+        row, col = divmod(cell, self.grid_size)
+        g_row, g_col = divmod(self.goal_cell, self.grid_size)
+        return abs(row - g_row) + abs(col - g_col)
+
+    def transition(self, cell: int, action: int) -> tuple[int, float, bool]:
+        """Deterministic grid move; returns (next_cell, reward, done)."""
+        nxt = self._move(cell, action)
         if nxt == self.goal_cell:
             return nxt, 1.0, True
-        g_row, g_col = divmod(self.goal_cell, n)
-        dist = abs(row - g_row) + abs(col - g_col)
-        reward = -0.05 - 0.1 * dist / (2 * (n - 1))
+        reward = -0.05 - 0.1 * self._goal_distance(nxt) / (2 * (self.grid_size - 1))
         return nxt, reward, False
 
     def effective_steps(self, config: AttackConfig, margin: float) -> int:
@@ -434,38 +397,51 @@ class LinearWorldModelVictim:
         frac = _clip01(margin)
         return math.ceil(1 + (config.steps - 1) * frac)
 
-    def attack_step(self, cell: int, config: AttackConfig,
-                    attack_rng: np.random.Generator,
-                    prev_latent: np.ndarray | None = None,
-                    prev_action: int | None = None) -> AttackStepOutcome:
-        obs = self.observe(cell)
-        clean_action, margin, _ = self._policy(obs)
-        steps = self.effective_steps(config, margin)
-        result = synthesize_delta(self.attack_surface, obs, clean_action, config,
-                                  steps, attack_rng, prev_latent, prev_action)
-        perturbed = apply_perturbation(obs, result.delta, config.epsilon)
-        attacked_action, _, _ = self._policy(perturbed)
-        return AttackStepOutcome(
-            perturbed_obs=perturbed,
-            flipped=attacked_action != clean_action,
-            clean_action=clean_action,
-            attacked_action=attacked_action,
-            loss_evals=result.loss_evals,
-        )
-
     def clean_rollout(self, episodes: int, rng: np.random.Generator) -> RolloutBatch:
+        return self._rollout(None, episodes, rng)
+
+    def attacked_rollout(self, config: AttackConfig, episodes: int,
+                         rng: np.random.Generator) -> RolloutBatch:
+        return self._rollout(config, episodes, rng)
+
+    def _rollout(self, config: AttackConfig | None, episodes: int,
+                 rng: np.random.Generator) -> RolloutBatch:
+        """The episode loop; with a config, each observation is attacked first.
+
+        An attacked step observes the cell and reads the clean policy once,
+        synthesizes a perturbation from the row's own stream (ep, t, seed),
+        and records the policy's readout of the perturbed observation.
+        """
         _require_episodes(episodes)
         start = time.perf_counter()
+        attacked = config is not None
         root = int(rng.integers(2 ** 63))
-        traces, returns = [], []
+        traces, returns, flips = [], [], []
         virtual = 0.0
         for ep in range(episodes):
-            ep_gen = Stream(root, (ep,)).generator()
-            cell = int(ep_gen.integers(self.n_cells))
+            cell = int(Stream(root, (ep,)).generator().integers(self.n_cells))
             latents, preds, actions, rewards, margins = [], [], [], [], []
-            for _ in range(self.horizon):
+            obs_rows, pert_rows = [], []
+            # the previous step's readout until this step's replaces it
+            latent: np.ndarray | None = None
+            action: int | None = None
+            for t in range(self.horizon):
                 obs = self.observe(cell)
-                action, margin, latent = self._policy(obs)
+                clean_action, margin, clean_latent = self._policy(obs)
+                loss_evals = 0
+                if config is None:
+                    action, latent = clean_action, clean_latent
+                else:
+                    result = synthesize_delta(
+                        self.attack_surface, obs, clean_action, config,
+                        self.effective_steps(config, margin),
+                        Stream(root, (ep, t, config.seed)).generator(), latent, action)
+                    perturbed = apply_perturbation(obs, result.delta, config.epsilon)
+                    action, margin, latent = self._policy(perturbed)
+                    loss_evals = result.loss_evals
+                    flips.append(action != clean_action)
+                    obs_rows.append(obs)
+                    pert_rows.append(perturbed)
                 pred = self.attack_surface.predicted_latent(latent, action)
                 cell, reward, done = self.transition(cell, action)
                 latents.append(latent)
@@ -473,66 +449,19 @@ class LinearWorldModelVictim:
                 actions.append(action)
                 rewards.append(reward)
                 margins.append(margin)
-                virtual += self.step_cost_seconds
+                virtual += self.step_cost_seconds + self.gradient_cost_seconds * loss_evals
                 if done:
                     break
             traces.append(EpisodeTrace(
                 latents=np.array(latents), predicted_next=np.array(preds),
                 actions=np.array(actions), rewards=np.array(rewards),
-                margins=np.array(margins)))
+                margins=np.array(margins),
+                observations=np.array(obs_rows) if attacked else None,
+                perturbed=np.array(pert_rows) if attacked else None))
             returns.append(math.fsum(rewards))
         return RolloutBatch(
             returns=np.array(returns, dtype=float),
-            flips=None,
-            elapsed_wall=time.perf_counter() - start,
-            elapsed_virtual=virtual,
-            trajectories=tuple(traces),
-        )
-
-    def attacked_rollout(self, config: AttackConfig, episodes: int,
-                         rng: np.random.Generator) -> RolloutBatch:
-        _require_episodes(episodes)
-        start = time.perf_counter()
-        root = int(rng.integers(2 ** 63))
-        traces, returns, flips = [], [], []
-        virtual = 0.0
-        for ep in range(episodes):
-            ep_gen = Stream(root, (ep,)).generator()
-            cell = int(ep_gen.integers(self.n_cells))
-            latents, preds, actions, rewards, margins = [], [], [], [], []
-            obs_rows, pert_rows = [], []
-            prev_latent: np.ndarray | None = None
-            prev_action: int | None = None
-            for t in range(self.horizon):
-                attack_rng = Stream(root, (ep, t, config.seed)).generator()
-                outcome = self.attack_step(cell, config, attack_rng,
-                                           prev_latent, prev_action)
-                obs = self.observe(cell)
-                att_action, att_margin, att_latent = self._policy(outcome.perturbed_obs)
-                pred = self.attack_surface.predicted_latent(att_latent, att_action)
-                cell, reward, done = self.transition(cell, att_action)
-                flips.append(outcome.flipped)
-                latents.append(att_latent)
-                preds.append(pred)
-                actions.append(att_action)
-                rewards.append(reward)
-                margins.append(att_margin)
-                obs_rows.append(obs)
-                pert_rows.append(outcome.perturbed_obs)
-                virtual += (self.step_cost_seconds
-                            + self.gradient_cost_seconds * outcome.loss_evals)
-                prev_latent, prev_action = att_latent, att_action
-                if done:
-                    break
-            traces.append(EpisodeTrace(
-                latents=np.array(latents), predicted_next=np.array(preds),
-                actions=np.array(actions), rewards=np.array(rewards),
-                margins=np.array(margins), observations=np.array(obs_rows),
-                perturbed=np.array(pert_rows)))
-            returns.append(math.fsum(rewards))
-        return RolloutBatch(
-            returns=np.array(returns, dtype=float),
-            flips=np.array(flips, dtype=bool),
+            flips=np.array(flips, dtype=bool) if attacked else None,
             elapsed_wall=time.perf_counter() - start,
             elapsed_virtual=virtual,
             trajectories=tuple(traces),
@@ -541,8 +470,7 @@ class LinearWorldModelVictim:
 
 # Re-exported here because the observation contract lives with the victims.
 __all__ = [
-    "AttackStepOutcome", "EpisodeTrace", "LinearWorldModelVictim",
-    "ResponseSurfaceVictim", "RolloutBatch", "VictimDescriptor",
-    "apply_perturbation", "surface_task",
+    "EpisodeTrace", "LinearWorldModelVictim", "ResponseSurfaceVictim",
+    "RolloutBatch", "apply_perturbation", "surface_task",
     "surface_task_family", "attacks",
 ]

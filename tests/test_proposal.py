@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attacksearch.proposal import (MASS_TOL, ProposalDistribution, ProposalError,
-                                   correction_operator, from_weights, point_mass,
-                                   uniform, update)
+                                   correction_operator, point_mass, uniform, update)
 
 
 @st.composite
@@ -32,13 +31,6 @@ def test_rejects_negative_and_unnormalized():
         ProposalDistribution(np.array([0.5, -0.5, 1.0]))
     with pytest.raises(ProposalError):
         ProposalDistribution(np.array([0.5, 0.4]))
-
-
-def test_from_weights_normalizes():
-    q = from_weights([2.0, 2.0, 4.0])
-    assert np.allclose(q.probs, [0.25, 0.25, 0.5])
-    with pytest.raises(ProposalError):
-        from_weights([0.0, 0.0])
 
 
 def test_probs_read_only():

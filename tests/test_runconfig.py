@@ -7,6 +7,7 @@ from attacksearch.configspace import AttackFamily
 from attacksearch.runconfig import (RunConfig, RunConfigError, build_space,
                                     build_victim, build_weights, emit_defaults,
                                     parse_run_config, parse_run_config_text)
+from attacksearch.victims import ResponseSurfaceVictim
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -90,7 +91,7 @@ def test_build_space_with_overrides():
 
 def test_build_victim_kinds():
     surface = build_victim(parse_run_config_text("victim:\n  kind: surface\n"))
-    assert surface.descriptor.action_kind == "discrete"
+    assert isinstance(surface, ResponseSurfaceVictim)
     linear = build_victim(parse_run_config_text(
         "victim:\n  kind: linear\n  horizon: 6\n"))
     assert linear.horizon == 6
@@ -139,6 +140,7 @@ CONSTRAINT_VIOLATIONS = [
     ("victim.kind", "cubic"), ("victim.noise", "-0.5"), ("victim.horizon", "0"),
     ("victim.baseline_episodes", "0"),
     ("space.families", "[]"), ("space.families", "[apgd-ce, gradient-magic]"),
+    ("space.families", "[fab, fab]"),
     ("space.restarts", "[]"), ("space.rhos", "[]"), ("space.seeds", "[]"),
     ("space.restarts", "[0]"), ("space.rhos", "[0.5, 0.5]"), ("space.rhos", "[1.5]"),
     ("space.seeds", "[-1]"), ("space.seeds", "[3, 1]"),
@@ -153,7 +155,7 @@ CONSTRAINT_VIOLATIONS = [
     ("theory.coverage_trials", "0"), ("theory.coverage_episodes", "0"),
     ("theory.delta", "1.0"), ("theory.delta", "0"), ("theory.eta", "-0.1"),
     ("bench.tasks", "0"), ("bench.noise", "-1"), ("bench.methods", "[]"),
-    ("bench.methods", "[attacksearch, annealing]"),
+    ("bench.methods", "[attacksearch, annealing]"), ("bench.methods", "[random, random]"),
     ("memory.tasks", "0"),
 ]
 

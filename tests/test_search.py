@@ -50,7 +50,7 @@ def history_with(space, entries):
 def test_feedback_strong_attack_all_quiet():
     signal = feedback(report(drop=0.9, flip=0.8, runtime=1.0, var=0.0))
     assert signal.tags == ()
-    assert signal.is_zero
+    assert signal == FeedbackSignal()
 
 
 def test_feedback_weak_drop_and_low_flip():
@@ -198,6 +198,16 @@ def test_induced_requires_history():
     space = search_space()
     with pytest.raises(ValueError):
         induced_proposal(SearchHistory(space_size=space.size), space, 1.0, 0.5)
+
+
+def test_close_round_tie_keeps_lowest_index():
+    space = search_space()
+    high, low = a_config(16, 10), a_config(2, 4)
+    assert space.index_of(high) > space.index_of(low)
+    history = history_with(space, [(0, c, report(config=c), FeedbackSignal())
+                                   for c in (high, low)])
+    history.close_round()
+    assert history.best_per_round == [(space.index_of(low), report().utility)]
 
 
 # ---------------------------------------------------------------- run_search

@@ -162,24 +162,6 @@ def test_environment_non_interference(linear_victim):
     assert pickle.dumps(linear_victim._weights) == before
 
 
-def test_run_attack_step_contract(linear_victim):
-    config = cfg(epsilon=12, steps=6)
-    outcome = linear_victim.attack_step(7, config, Stream(14).generator())
-    assert outcome.perturbed_obs.shape == (linear_victim.obs_dim,)
-    assert outcome.flipped == (outcome.clean_action != outcome.attacked_action)
-    base = linear_victim.observe(7)
-    assert np.abs(outcome.perturbed_obs - base).max() <= 12 / 255.0 + np.finfo(float).eps
-
-
-def test_run_attack_step_reproducible(linear_victim):
-    config = cfg(epsilon=12, steps=6)
-    a = linear_victim.attack_step(3, config, Stream(15).generator())
-    b = linear_victim.attack_step(3, config, Stream(15).generator())
-    assert np.array_equal(a.perturbed_obs, b.perturbed_obs)
-    assert (a.flipped, a.clean_action, a.attacked_action) == \
-        (b.flipped, b.clean_action, b.attacked_action)
-
-
 def test_margin_linear_allocation_uses_fewer_evaluations(linear_victim):
     fixed = linear_victim.attacked_rollout(cfg(epsilon=8, steps=12), 3,
                                            Stream(16).generator())
