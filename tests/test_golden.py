@@ -102,6 +102,22 @@ retrieval:
 memory:
   tasks: 3
 """),
+    "oracle": (("oracle",), """seed: 2
+out_dir: out
+victim:
+  kind: surface
+  task_seed: 7
+""" + SPACE),
+    "theory-small": (("theory",), """seed: 2
+out_dir: out
+theory:
+  hitting_trials: 2000
+  pair_trials: 1000
+  random_pairs: 3
+  identity_tuples: 200
+  coverage_trials: 20
+  coverage_episodes: 20
+"""),
 }
 
 
