@@ -18,7 +18,7 @@ from .memory import (AttackMemory, MemoryRecord, TaskSummary, similarity, summar
 from .proposal import ProposalDistribution, correction_operator, update
 from .search import (FeedbackSignal, SearchHistory, SearchParams, SearchResult,
                      feedback, induced_proposal, propose_batch, run_search)
-from .theory import (BoundReport, EffectiveSet, UtilityMap, baseline_gap,
+from .theory import (CheckRow, EffectiveSet, UtilityMap, baseline_gap,
                      brute_force_utility, coverage_experiment, effective_set,
                      gibbs_reference, hit_probability, hitting_time_bound,
                      hoeffding_bound, monte_carlo_hitting_time, noisy_correction_check)

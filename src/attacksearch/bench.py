@@ -2,6 +2,9 @@
 theory verdicts, method benchmarks, memory building, and report
 aggregation.
 
+The theory mode only prints, writes and exits on the verdicts that
+`theory.theory_checks` builds and judges.
+
 Benchmarks run every configured method on every (task, attack-family)
 pair under identical budgets and write line-delimited trial logs; the
 summary CSVs are always rebuilt from those logs, so `report` over the
@@ -29,6 +32,7 @@ from .runconfig import (METHOD_FULL, METHOD_RANDOM, RunConfig, RunConfigError,
                         build_weights)
 from .search import SearchResult, run_search
 from .serial import write_records
+from .theory import theory_checks
 from .victims import surface_task_family
 
 THRESHOLD_FRACTION = 0.9
@@ -40,8 +44,8 @@ PARITY_HEADER = "Task,Family,Method,Configs"
 _LOG_NAME = re.compile(r"^trials__(?P<task>.+)__(?P<family>[a-z-]+)__(?P<method>[a-z-]+)\.jsonl$")
 
 
-def _fmt(value: float | None) -> str:
-    return "--" if value is None else f"{value:.3f}"
+def _fmt(value: float | None, spec: str = ".3f") -> str:
+    return "--" if value is None else format(value, spec)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -133,13 +137,16 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
 
 def run_oracle_mode(config: RunConfig, out_dir: Path) -> int:
     victim = build_victim(config)
+    episodes = config.oracle.episodes
+    if episodes == 0 and not victim.is_deterministic:
+        raise RunConfigError("victim is not deterministic; set a positive episode count "
+                             "to average each configuration over", key="oracle.episodes")
     space = build_space(config)
     weights = build_weights(config)
     baseline = make_baseline(victim, config.victim.baseline_episodes,
                              Stream(config.seed, (1,)).generator())
-    episodes = config.oracle.episodes if config.oracle.episodes > 0 else None
     umap = theory.brute_force_utility(victim, space, baseline, weights,
-                                      episodes=episodes, seed=config.seed)
+                                      episodes=episodes or None, seed=config.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["Config,D,F,T,V,U"]
     records = []
@@ -161,192 +168,22 @@ def run_oracle_mode(config: RunConfig, out_dir: Path) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    value: float | None
-    bound: float | None
-    empirical: float | None
-    standard_error: float | None
-    passed: bool
-
-
-def _random_distribution(rng: np.random.Generator, size: int) -> ProposalDistribution:
-    return ProposalDistribution(rng.dirichlet(np.ones(size)))
-
-
-def _identity_checks(rng: np.random.Generator, tuples: int) -> list[CheckRow]:
-    rows = []
-    dev_mass = dev_dual = dev_update = dev_noisy = dev_gap = 0.0
-    for _ in range(tuples):
-        size = int(rng.integers(2, 25))
-        q = _random_distribution(rng, size)
-        q_star = _random_distribution(rng, size)
-        members = rng.random(size) < 0.5
-        if not members.any():
-            members[int(rng.integers(size))] = True
-        gamma = float(rng.uniform(0.0, 5.0))
-        indices = np.flatnonzero(members)
-        corrected = proposal.correction_operator(q, q_star, gamma)
-        lhs = corrected.mass(indices) - q.mass(indices)
-        rhs = gamma / (1.0 + gamma) * (q_star.mass(indices) - q.mass(indices))
-        dev_mass = max(dev_mass, abs(lhs - rhs))
-        via_update = proposal.update(q, q_star, gamma / (1.0 + gamma))
-        dev_update = max(dev_update, float(np.abs(corrected.probs - via_update.probs).max()))
-        p = float(rng.uniform(0.0, 1.0))
-        r = float(rng.uniform(0.0, 1.0))
-        xi = float(rng.uniform(0.0, 0.5))
-        verdict = theory.noisy_correction_check(p, r, gamma, xi)
-        two_atom = ProposalDistribution(np.array([p, 1.0 - p]))
-        two_star = ProposalDistribution(np.array([r, 1.0 - r]))
-        direct = proposal.correction_operator(two_atom, two_star, gamma).probs[0] - p
-        dev_noisy = max(dev_noisy, abs(verdict.threshold - direct))
-        g2 = float(rng.uniform(0.0, 5.0))
-        dev_gap = max(dev_gap, abs(theory.baseline_gap(p, r, gamma, g2)
-                                   - theory.baseline_gap_direct(p, r, gamma, g2)))
-        # oracle case: all reference mass inside the member set
-        star_in = np.where(members, q_star.probs, 0.0)
-        star_in = ProposalDistribution(star_in / star_in.sum()) if star_in.sum() > 0 else None
-        if star_in is not None:
-            res = proposal.correction_operator(q, star_in, 1.0)
-            residual = 1.0 - res.mass(indices)
-            dev_dual = max(dev_dual, abs(residual - (1.0 - q.mass(indices)) / 2.0))
-    rows.append(CheckRow("correction-mass-identity", dev_mass, 1e-12, None, None,
-                         dev_mass <= 1e-12))
-    rows.append(CheckRow("correction-residual-halving", dev_dual, 1e-12, None, None,
-                         dev_dual <= 1e-12))
-    rows.append(CheckRow("correction-equals-update", dev_update, 1e-15, None, None,
-                         dev_update <= 1e-15))
-    rows.append(CheckRow("noisy-correction-dual-path", dev_noisy, 1e-12, None, None,
-                         dev_noisy <= 1e-12))
-    rows.append(CheckRow("baseline-gap-dual-path", dev_gap, 1e-12, None, None,
-                         dev_gap <= 1e-12))
-    return rows
-
-
-def _gibbs_checks(rng: np.random.Generator, space: ConfigSpace) -> list[CheckRow]:
-    baselineless = theory.UtilityMap(
-        space, rng.normal(size=space.size), np.zeros(space.size), np.zeros(space.size),
-        np.zeros(space.size), np.zeros(space.size))
-    uniform_dev = float(np.abs(theory.gibbs_reference(baselineless, 0.0).probs
-                               - 1.0 / space.size).max())
-    shifted = theory.UtilityMap(
-        space, baselineless.utilities + 7.5, np.zeros(space.size), np.zeros(space.size),
-        np.zeros(space.size), np.zeros(space.size))
-    shift_dev = float(np.abs(theory.gibbs_reference(baselineless, 2.0).probs
-                             - theory.gibbs_reference(shifted, 2.0).probs).max())
-    etas = np.sort(rng.uniform(0.0, 2.0, size=8))
-    sets = [theory.effective_set(baselineless, float(e)) for e in etas]
-    monotone = all(set(a.indices) <= set(b.indices) for a, b in zip(sets, sets[1:]))
-    grid = np.linspace(0.0, 1.0, 101)
-    hit_dev = max(abs(theory.hit_probability(p, 1) - p) for p in grid)
-    recip_dev = max(abs(theory.hitting_time_bound(p, 4)
-                        * theory.hit_probability(p, 4) - 1.0)
-                    for p in grid if p > 0)
-    return [
-        CheckRow("gibbs-uniform-at-beta-0", uniform_dev, 1e-12, None, None,
-                 uniform_dev <= 1e-12),
-        CheckRow("gibbs-shift-invariance", shift_dev, 1e-12, None, None,
-                 shift_dev <= 1e-12),
-        CheckRow("effective-set-monotone", 0.0 if monotone else 1.0, 0.0, None, None,
-                 monotone),
-        CheckRow("hit-probability-b1-identity", hit_dev, 1e-15, None, None,
-                 hit_dev <= 1e-15),
-        CheckRow("hitting-bound-reciprocal", recip_dev, 1e-12, None, None,
-                 recip_dev <= 1e-12),
-    ]
-
-
-def _hitting_checks(config: RunConfig, rng_seed: int) -> list[CheckRow]:
-    rows = []
-    stream = Stream(rng_seed, (31,))
-    q = ProposalDistribution(np.array([0.1, 0.9]))
-    mask = np.array([True, False])
-    report = theory.monte_carlo_hitting_time(q, mask, 8, config.theory.hitting_trials,
-                                             stream.child(0).generator())
-    rows.append(CheckRow("hitting-time-p0.1-b8", report.bound, report.bound,
-                         report.empirical, report.standard_error, report.passed))
-    pair_rng = stream.child(1).generator()
-    for i in range(config.theory.random_pairs):
-        p = float(pair_rng.uniform(0.05, 0.6))
-        b = int(pair_rng.integers(1, 13))
-        q_i = ProposalDistribution(np.array([p, 1.0 - p]))
-        rep = theory.monte_carlo_hitting_time(q_i, mask, b, config.theory.pair_trials,
-                                              stream.child(2, i).generator())
-        rows.append(CheckRow(f"hitting-time-pair-{i}", rep.bound, rep.bound,
-                             rep.empirical, rep.standard_error, rep.passed))
-    # rising member mass via repeated correction toward an in-set reference
-    p0, gamma = 0.05, 0.5
-    q_seq = [ProposalDistribution(np.array([p0, 1.0 - p0]))]
-    star = ProposalDistribution(np.array([1.0, 0.0]))
-    for _ in range(60):
-        q_seq.append(proposal.correction_operator(q_seq[-1], star, gamma))
-    rep = theory.monte_carlo_hitting_time(q_seq, mask, 4, config.theory.pair_trials,
-                                          stream.child(3).generator())
-    rows.append(CheckRow("hitting-time-corrected-sequence", rep.bound, rep.bound,
-                         rep.empirical, rep.standard_error, rep.passed))
-    return rows
-
-
-def _coverage_space() -> ConfigSpace:
-    from .configspace import default_config_space
-    return default_config_space(
-        families=(AttackFamily.APGD_CE, AttackFamily.APGD_DLR),
-        epsilon_overrides={AttackFamily.APGD_CE: (2, 4, 6, 8, 10, 12),
-                           AttackFamily.APGD_DLR: (2, 4, 6, 8, 10, 12)},
-        steps_overrides={AttackFamily.APGD_CE: (4, 8, 12, 16),
-                         AttackFamily.APGD_DLR: (4, 8, 12, 16)})
-
-
-def _coverage_check(config: RunConfig) -> list[CheckRow]:
-    from .victims import surface_task
-    space = _coverage_space()
-    victim = surface_task("coverage-task", config.seed + 17, noise_scale=1.0)
-    report = theory.coverage_experiment(
-        victim, space, config.theory.coverage_episodes, config.theory.delta,
-        config.theory.coverage_trials, config.seed, config.theory.eta,
-        build_weights(config))
-    return [
-        CheckRow("hoeffding-uniform-coverage", report.zeta, report.required,
-                 report.deviation_frequency, None, report.passed),
-        CheckRow("hoeffding-eta-optimal-implication",
-                 float(report.implication_violations), 0.0,
-                 report.implication_frequency, None,
-                 report.implication_violations == 0),
-    ]
-
-
-def theory_checks(config: RunConfig) -> list[CheckRow]:
-    rng = Stream(config.seed, (23,)).generator()
-    rows = _identity_checks(rng, config.theory.identity_tuples)
-    rows += _gibbs_checks(rng, _coverage_space())
-    rows += _hitting_checks(config, config.seed)
-    rows += _coverage_check(config)
-    return rows
-
-
 def run_theory_mode(config: RunConfig, out_dir: Path) -> int:
-    rows = theory_checks(config)
+    rows = theory_checks(config.seed, config.theory, build_weights(config))
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["Check,Value,Bound,Empirical,SE,Verdict"]
     width = max(len(r.name) for r in rows)
     for row in rows:
         verdict = "PASS" if row.passed else "FAIL"
-        lines.append(",".join([row.name, _fmt_g(row.value), _fmt_g(row.bound),
-                               _fmt_g(row.empirical), _fmt_g(row.standard_error), verdict]))
-        print(f"{row.name:<{width}}  value={_fmt_g(row.value):>12}  "
-              f"bound={_fmt_g(row.bound):>12}  empirical={_fmt_g(row.empirical):>12}  "
-              f"se={_fmt_g(row.standard_error):>10}  {verdict}")
+        value, bound, empirical, se = (_fmt(v, ".6g") for v in (
+            row.value, row.bound, row.empirical, row.standard_error))
+        lines.append(",".join([row.name, value, bound, empirical, se, verdict]))
+        print(f"{row.name:<{width}}  value={value:>12}  bound={bound:>12}  "
+              f"empirical={empirical:>12}  se={se:>10}  {verdict}")
     _write_text(out_dir / "theory_verdicts.csv", "\n".join(lines) + "\n")
     failed = sum(not r.passed for r in rows)
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
     return 1 if failed else 0
-
-
-def _fmt_g(value: float | None) -> str:
-    if value is None:
-        return "--"
-    return f"{value:.6g}"
 
 
 # ----------------------------------------------------------------------

@@ -271,6 +271,25 @@ class ConfigSpace:
         return index
 
 
+# Per-family (lo, hi, step) of the default epsilon and steps grids. The
+# response-surface victim centres its ground truth on these ranges whatever
+# space is searched, so that ground truth is a function of (theta, config).
+EPSILON_RANGES = {
+    AttackFamily.APGD_CE: (2, 20, 2),
+    AttackFamily.APGD_DLR: (2, 20, 2),
+    AttackFamily.FAB: (2, 20, 2),
+    AttackFamily.SQUARE: (2, 16, 2),
+    AttackFamily.PHYSCOND_WMA: (2, 20, 2),
+}
+STEPS_RANGES = {
+    AttackFamily.APGD_CE: (4, 24, 2),
+    AttackFamily.APGD_DLR: (4, 24, 2),
+    AttackFamily.FAB: (6, 32, 2),
+    AttackFamily.SQUARE: (20, 160, 20),
+    AttackFamily.PHYSCOND_WMA: (6, 32, 2),
+}
+
+
 def _even_range(lo: int, hi: int, step: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1, step))
 
@@ -283,34 +302,15 @@ def default_config_space(
     epsilon_overrides: dict[AttackFamily, tuple[int, ...]] | None = None,
     steps_overrides: dict[AttackFamily, tuple[int, ...]] | None = None,
 ) -> ConfigSpace:
-    """Default per-family grids.
-
-    Epsilon in steps of 2 across each family's range (2-20 for the
-    gradient and boundary families, 2-16 for the square family); steps in
-    increments of 2 within each family's range, except the square family
-    whose step counts run 20-160 in increments of 20.
-    """
-    base_eps = {
-        AttackFamily.APGD_CE: _even_range(2, 20, 2),
-        AttackFamily.APGD_DLR: _even_range(2, 20, 2),
-        AttackFamily.FAB: _even_range(2, 20, 2),
-        AttackFamily.SQUARE: _even_range(2, 16, 2),
-        AttackFamily.PHYSCOND_WMA: _even_range(2, 20, 2),
-    }
-    base_steps = {
-        AttackFamily.APGD_CE: _even_range(4, 24, 2),
-        AttackFamily.APGD_DLR: _even_range(4, 24, 2),
-        AttackFamily.FAB: _even_range(6, 32, 2),
-        AttackFamily.SQUARE: _even_range(20, 160, 20),
-        AttackFamily.PHYSCOND_WMA: _even_range(6, 32, 2),
-    }
+    """Default per-family grids: every `step` from `lo` to `hi` of each
+    family's `EPSILON_RANGES` and `STEPS_RANGES` entry, unless overridden."""
     eps_over = epsilon_overrides or {}
     steps_over = steps_overrides or {}
     grids = {}
     for family in families:
         grids[family] = FamilyGrid(
-            epsilons=tuple(eps_over.get(family, base_eps[family])),
-            steps=tuple(steps_over.get(family, base_steps[family])),
+            epsilons=tuple(eps_over.get(family, _even_range(*EPSILON_RANGES[family]))),
+            steps=tuple(steps_over.get(family, _even_range(*STEPS_RANGES[family]))),
             restarts=tuple(restarts),
             rhos=tuple(rhos),
             seeds=tuple(seeds),

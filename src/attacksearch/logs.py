@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .configspace import ConfigSpace
 from .search import SearchHistory
-from .serial import dump_record, read_records, write_records
+from .serial import read_records, write_records
 
 TRIAL_FIELDS = ("round", "phase", "config", "D", "F", "T", "V", "U", "episodes", "seed")
 
@@ -117,5 +117,5 @@ def search_summary_record(history: SearchHistory, space: ConfigSpace,
 
 
 __all__ = ["TRIAL_FIELDS", "TrialCurve", "ThresholdOutcome", "best_so_far_curve",
-           "dump_record", "read_trial_log", "search_summary_record",
-           "threshold_outcome", "trial_records", "write_trial_log"]
+           "read_trial_log", "search_summary_record", "threshold_outcome",
+           "trial_records", "write_trial_log"]

@@ -64,14 +64,12 @@ def _lag1_autocorr(rewards: np.ndarray) -> float | None:
     return float(cov / math.sqrt(va * vb))
 
 
-def summarize(batches, task_id: str, horizon: int) -> TaskSummary:
+def summarize(batch: RolloutBatch, task_id: str, horizon: int) -> TaskSummary:
     """Aggregate clean-rollout trajectories into the 12-feature summary."""
-    if isinstance(batches, RolloutBatch):
-        batches = [batches]
-    traces = [tr for batch in batches for tr in batch.trajectories]
+    traces = batch.trajectories
     if not traces:
         raise ValueError("need at least one episode of clean trajectory records")
-    returns = np.concatenate([np.asarray(b.returns, dtype=float) for b in batches])
+    returns = np.asarray(batch.returns, dtype=float)
 
     latent_norms = np.concatenate([np.linalg.norm(tr.latents, axis=1) for tr in traces])
     rewards = np.concatenate([tr.rewards for tr in traces])

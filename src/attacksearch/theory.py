@@ -6,6 +6,9 @@ reference distribution, the correction operator's mass identities, batch
 hit probabilities and the hitting-time bound, the noisy-correction
 sufficient condition, the gap between two correction strengths, and the
 finite-episode uniform deviation bound with its coverage experiment.
+
+`theory_checks` runs all of these as the `theory` mode's verdict table;
+this module alone decides each verdict's tolerance and pass rule.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import AttackConfig, ConfigSpace
+from .configspace import AttackConfig, AttackFamily, ConfigSpace, default_config_space
 from .evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityWeights,
                          estimate_utility)
-from .proposal import ProposalDistribution, correction_operator
+from .proposal import ProposalDistribution, correction_operator, update
 from .rngutil import Stream
-from .victims import ResponseSurfaceVictim
+from .victims import ResponseSurfaceVictim, surface_task
 
 
 @dataclass(frozen=True)
@@ -69,21 +72,29 @@ class EffectiveSet:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    p: float
-    b: int
-    hit_prob: float
-    bound: float
-    empirical: float
-    standard_error: float
-    passed: bool
-    detail: str = ""
+# One-sided z of each Monte Carlo hitting-time verdict: NormalDist().inv_cdf(
+# 1 - 1e-4), written out to keep `statistics` out of the import. Correct code
+# fails such a verdict with probability 1e-4, and the dozen of them in a
+# default theory run false-FAIL about 1e-3 of runs.
+HITTING_TIME_Z = 3.7190164854557084
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0) or not (0.0 <= self.hit_prob <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+
+@dataclass(frozen=True)
+class CheckRow:
+    """One theory verdict: a value against its bound, plus the Monte Carlo
+    estimate and its standard error where the verdict has them."""
+
+    name: str
+    value: float | None
+    bound: float | None
+    empirical: float | None
+    standard_error: float | None
+    passed: bool
+
+
+def _within(name: str, deviation: float, tolerance: float) -> CheckRow:
+    """An exact verdict: passes when `deviation` is at most `tolerance`."""
+    return CheckRow(name, deviation, tolerance, None, None, deviation <= tolerance)
 
 
 def brute_force_utility(victim, space: ConfigSpace, baseline: CleanBaseline,
@@ -94,9 +105,8 @@ def brute_force_utility(victim, space: ConfigSpace, baseline: CleanBaseline,
     Non-deterministic victims are refused unless an explicit episode count
     for averaging is supplied.
     """
-    deterministic = bool(getattr(victim, "is_deterministic", True))
     if episodes is None:
-        if not deterministic:
+        if not victim.is_deterministic:
             raise ValueError("victim is not deterministic; supply episodes for averaging")
         episodes = 1
     stream = Stream(seed, (7,))
@@ -206,12 +216,14 @@ def hitting_time_bound(p: float, b: int) -> float:
 def monte_carlo_hitting_time(q, member_mask, b: int, trials: int,
                              rng: np.random.Generator,
                              max_rounds: int = 100_000,
-                             name: str = "hitting-time") -> BoundReport:
+                             name: str = "hitting-time") -> CheckRow:
     """Simulate rounds of b draws until one lands in the member set.
 
     `q` is either a single proposal or a per-round sequence of proposals
-    (the last one repeating). The reported bound is always computed from
-    the first round's member mass.
+    (the last one repeating). The bound is always computed from the first
+    round's member mass; the verdict passes when that mass is positive, no
+    trial hits the round cap, and the mean hitting round is at most the
+    bound plus `HITTING_TIME_Z` standard errors.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -238,15 +250,8 @@ def monte_carlo_hitting_time(q, member_mask, b: int, trials: int,
     hits[active] = max_rounds
     mean = float(hits.mean())
     se = float(hits.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    if p0 == 0.0:
-        passed = False
-        detail = "no guarantee: member mass is zero"
-    else:
-        passed = mean <= bound + 3.0 * se and capped == 0
-        detail = f"{capped} trials hit the round cap" if capped else ""
-    return BoundReport(name=name, p=p0, b=b, hit_prob=hit_probability(p0, b),
-                       bound=bound, empirical=mean, standard_error=se,
-                       passed=passed, detail=detail)
+    passed = p0 > 0.0 and capped == 0 and mean <= bound + HITTING_TIME_Z * se
+    return CheckRow(name, bound, bound, mean, se, passed)
 
 
 @dataclass(frozen=True)
@@ -367,3 +372,142 @@ def coverage_experiment(victim: ResponseSurfaceVictim, space: ConfigSpace,
                           implication_frequency=freq_b,
                           implication_violations=violations, required=required,
                           max_deviation_seen=max_dev_seen, passed=passed)
+
+
+# ----------------------------------------------------------------------
+# theory-mode verdicts
+# ----------------------------------------------------------------------
+
+
+def _random_distribution(rng: np.random.Generator, size: int) -> ProposalDistribution:
+    return ProposalDistribution(rng.dirichlet(np.ones(size)))
+
+
+def _identity_checks(rng: np.random.Generator, tuples: int) -> list[CheckRow]:
+    dev_mass = dev_dual = dev_update = dev_noisy = dev_gap = 0.0
+    for _ in range(tuples):
+        size = int(rng.integers(2, 25))
+        q = _random_distribution(rng, size)
+        q_star = _random_distribution(rng, size)
+        members = rng.random(size) < 0.5
+        if not members.any():
+            members[int(rng.integers(size))] = True
+        gamma = float(rng.uniform(0.0, 5.0))
+        indices = np.flatnonzero(members)
+        corrected = correction_operator(q, q_star, gamma)
+        lhs = corrected.mass(indices) - q.mass(indices)
+        rhs = gamma / (1.0 + gamma) * (q_star.mass(indices) - q.mass(indices))
+        dev_mass = max(dev_mass, abs(lhs - rhs))
+        via_update = update(q, q_star, gamma / (1.0 + gamma))
+        dev_update = max(dev_update, float(np.abs(corrected.probs - via_update.probs).max()))
+        p = float(rng.uniform(0.0, 1.0))
+        r = float(rng.uniform(0.0, 1.0))
+        xi = float(rng.uniform(0.0, 0.5))
+        verdict = noisy_correction_check(p, r, gamma, xi)
+        two_atom = ProposalDistribution(np.array([p, 1.0 - p]))
+        two_star = ProposalDistribution(np.array([r, 1.0 - r]))
+        direct = correction_operator(two_atom, two_star, gamma).probs[0] - p
+        dev_noisy = max(dev_noisy, abs(verdict.threshold - direct))
+        g2 = float(rng.uniform(0.0, 5.0))
+        dev_gap = max(dev_gap, abs(baseline_gap(p, r, gamma, g2)
+                                   - baseline_gap_direct(p, r, gamma, g2)))
+        # oracle case: all reference mass inside the member set
+        star_in = np.where(members, q_star.probs, 0.0)
+        star_in = ProposalDistribution(star_in / star_in.sum()) if star_in.sum() > 0 else None
+        if star_in is not None:
+            res = correction_operator(q, star_in, 1.0)
+            residual = 1.0 - res.mass(indices)
+            dev_dual = max(dev_dual, abs(residual - (1.0 - q.mass(indices)) / 2.0))
+    return [
+        _within("correction-mass-identity", dev_mass, 1e-12),
+        _within("correction-residual-halving", dev_dual, 1e-12),
+        _within("correction-equals-update", dev_update, 1e-15),
+        _within("noisy-correction-dual-path", dev_noisy, 1e-12),
+        _within("baseline-gap-dual-path", dev_gap, 1e-12),
+    ]
+
+
+def _gibbs_checks(rng: np.random.Generator, space: ConfigSpace) -> list[CheckRow]:
+    zeros = np.zeros(space.size)
+    baselineless = UtilityMap(space, rng.normal(size=space.size), zeros, zeros, zeros, zeros)
+    uniform_dev = float(np.abs(gibbs_reference(baselineless, 0.0).probs
+                               - 1.0 / space.size).max())
+    shifted = UtilityMap(space, baselineless.utilities + 7.5, zeros, zeros, zeros, zeros)
+    shift_dev = float(np.abs(gibbs_reference(baselineless, 2.0).probs
+                             - gibbs_reference(shifted, 2.0).probs).max())
+    etas = np.sort(rng.uniform(0.0, 2.0, size=8))
+    sets = [effective_set(baselineless, float(e)) for e in etas]
+    monotone = all(set(a.indices) <= set(b.indices) for a, b in zip(sets, sets[1:]))
+    grid = np.linspace(0.0, 1.0, 101)
+    hit_dev = max(abs(hit_probability(p, 1) - p) for p in grid)
+    recip_dev = max(abs(hitting_time_bound(p, 4) * hit_probability(p, 4) - 1.0)
+                    for p in grid if p > 0)
+    return [
+        _within("gibbs-uniform-at-beta-0", uniform_dev, 1e-12),
+        _within("gibbs-shift-invariance", shift_dev, 1e-12),
+        _within("effective-set-monotone", 0.0 if monotone else 1.0, 0.0),
+        _within("hit-probability-b1-identity", hit_dev, 1e-15),
+        _within("hitting-bound-reciprocal", recip_dev, 1e-12),
+    ]
+
+
+def _hitting_checks(seed: int, section) -> list[CheckRow]:
+    stream = Stream(seed, (31,))
+    mask = np.array([True, False])
+    rows = [monte_carlo_hitting_time(ProposalDistribution(np.array([0.1, 0.9])), mask, 8,
+                                     section.hitting_trials, stream.child(0).generator(),
+                                     name="hitting-time-p0.1-b8")]
+    pair_rng = stream.child(1).generator()
+    for i in range(section.random_pairs):
+        p = float(pair_rng.uniform(0.05, 0.6))
+        b = int(pair_rng.integers(1, 13))
+        rows.append(monte_carlo_hitting_time(
+            ProposalDistribution(np.array([p, 1.0 - p])), mask, b, section.pair_trials,
+            stream.child(2, i).generator(), name=f"hitting-time-pair-{i}"))
+    # rising member mass via repeated correction toward an in-set reference
+    p0, gamma = 0.05, 0.5
+    q_seq = [ProposalDistribution(np.array([p0, 1.0 - p0]))]
+    star = ProposalDistribution(np.array([1.0, 0.0]))
+    for _ in range(60):
+        q_seq.append(correction_operator(q_seq[-1], star, gamma))
+    rows.append(monte_carlo_hitting_time(q_seq, mask, 4, section.pair_trials,
+                                         stream.child(3).generator(),
+                                         name="hitting-time-corrected-sequence"))
+    return rows
+
+
+def _coverage_space() -> ConfigSpace:
+    families = (AttackFamily.APGD_CE, AttackFamily.APGD_DLR)
+    return default_config_space(
+        families=families,
+        epsilon_overrides=dict.fromkeys(families, (2, 4, 6, 8, 10, 12)),
+        steps_overrides=dict.fromkeys(families, (4, 8, 12, 16)))
+
+
+def _coverage_checks(seed: int, section, weights: UtilityWeights) -> list[CheckRow]:
+    victim = surface_task("coverage-task", seed + 17, noise_scale=1.0)
+    report = coverage_experiment(victim, _coverage_space(), section.coverage_episodes,
+                                 section.delta, section.coverage_trials, seed,
+                                 section.eta, weights)
+    return [
+        CheckRow("hoeffding-uniform-coverage", report.zeta, report.required,
+                 report.deviation_frequency, None, report.passed),
+        CheckRow("hoeffding-eta-optimal-implication",
+                 float(report.implication_violations), 0.0,
+                 report.implication_frequency, None,
+                 report.implication_violations == 0),
+    ]
+
+
+def theory_checks(seed: int, section, weights: UtilityWeights) -> list[CheckRow]:
+    """Every theory-mode verdict, in table order.
+
+    `section` is the run configuration's `theory` section: the sample
+    sizes of each check plus the coverage experiment's delta and eta.
+    """
+    rng = Stream(seed, (23,)).generator()
+    rows = _identity_checks(rng, section.identity_tuples)
+    rows += _gibbs_checks(rng, _coverage_space())
+    rows += _hitting_checks(seed, section)
+    rows += _coverage_checks(seed, section, weights)
+    return rows

@@ -10,14 +10,15 @@ Two built-ins:
   population utility. Tasks with nearby theta have nearby optimal
   configurations.
 
-* `LinearWorldModelVictim` - a deterministic gridworld whose agent acts
-  through a linear encoder, linear latent dynamics, and a softmax-linear
-  policy. Observation attacks are genuinely executed against this victim:
-  clean and attacked rollouts are one episode loop, and the attacked one
-  perturbs each observation before the policy reads it. Perturbations are
-  synthesized per decision point, projected to the epsilon/255 ball and
-  the observation box, and the environment advances with the attacked
-  action while its dynamics stay untouched.
+* `LinearWorldModelVictim` - a gridworld with deterministic dynamics and a
+  random start cell, whose agent acts through a linear encoder, linear
+  latent dynamics, and a softmax-linear policy. Observation attacks are
+  genuinely executed against this victim: clean and attacked rollouts are
+  one episode loop, and the attacked one perturbs each observation before
+  the policy reads it. Perturbations are synthesized per decision point,
+  projected to the epsilon/255 ball and the observation box, and the
+  environment advances with the attacked action while its dynamics stay
+  untouched.
 
 Both victims are immutable parameter records plus pure rollout functions; given
 equal seeds and arguments, rollouts are bit-reproducible except for the
@@ -35,28 +36,17 @@ import numpy as np
 
 from . import attacks
 from .attacks import LinearAttackSurface, _softmax, apply_perturbation, synthesize_delta
-from .configspace import AllocationRule, AttackConfig, AttackFamily
+from .configspace import EPSILON_RANGES, STEPS_RANGES, AllocationRule, AttackConfig
 from .rngutil import Stream
 
 THETA_DIM = 8
 
-# Family-level hyperparameter ranges used by the response surface. These
-# are fixed constants of the surface (not read from any particular search
-# space) so the ground truth stays a pure function of (theta, config).
-_FAMILY_EPS_RANGE = {
-    AttackFamily.APGD_CE: (2.0, 20.0),
-    AttackFamily.APGD_DLR: (2.0, 20.0),
-    AttackFamily.FAB: (2.0, 20.0),
-    AttackFamily.SQUARE: (2.0, 16.0),
-    AttackFamily.PHYSCOND_WMA: (2.0, 20.0),
-}
-_FAMILY_STEPS_RANGE = {
-    AttackFamily.APGD_CE: (4.0, 24.0),
-    AttackFamily.APGD_DLR: (4.0, 24.0),
-    AttackFamily.FAB: (6.0, 32.0),
-    AttackFamily.SQUARE: (20.0, 160.0),
-    AttackFamily.PHYSCOND_WMA: (6.0, 32.0),
-}
+# Each family's default epsilon and steps ranges as float (lo, hi - lo)
+# pairs, built once: the response surface reads them on every evaluation.
+_SURFACE_RANGES = {
+    family: tuple(float(x) for lo, hi, _ in (EPSILON_RANGES[family], STEPS_RANGES[family])
+                  for x in (lo, hi - lo))
+    for family in EPSILON_RANGES}
 
 
 @dataclass(frozen=True)
@@ -147,12 +137,11 @@ class ResponseSurfaceVictim:
         attacked returns below zero.
         """
         th = self.theta
-        e_lo, e_hi = _FAMILY_EPS_RANGE[config.family]
-        s_lo, s_hi = _FAMILY_STEPS_RANGE[config.family]
-        eps_peak = e_lo + (e_hi - e_lo) * th[1]
-        steps_peak = s_lo + (s_hi - s_lo) * th[2]
-        sig_e = 0.25 * (e_hi - e_lo)
-        sig_s = 0.25 * (s_hi - s_lo)
+        e_lo, e_span, s_lo, s_span = _SURFACE_RANGES[config.family]
+        eps_peak = e_lo + e_span * th[1]
+        steps_peak = s_lo + s_span * th[2]
+        sig_e = 0.25 * e_span
+        sig_s = 0.25 * s_span
         gauss = math.exp(-((config.epsilon - eps_peak) ** 2) / (2 * sig_e ** 2)
                          - ((config.steps - steps_peak) ** 2) / (2 * sig_s ** 2))
         amp = 0.55 + 0.5 * th[4]
@@ -291,7 +280,7 @@ def surface_task_family(family_seed: int, n_tasks: int, noise_scale: float = 0.0
 
 @dataclass(frozen=True)
 class LinearWorldModelVictim:
-    """Deterministic gridworld agent with linear encoder/dynamics/policy."""
+    """Gridworld agent with linear encoder/dynamics/policy and a random start cell."""
 
     task_id: str
     obs_dim: int = 64
@@ -308,6 +297,11 @@ class LinearWorldModelVictim:
             raise ValueError("the gridworld victim uses exactly 4 move actions")
         if self.grid_size < 2 or self.obs_dim < 4 or self.latent_dim < 2:
             raise ValueError("victim dimensions too small")
+
+    @property
+    def is_deterministic(self) -> bool:
+        """False: each episode's start cell is drawn from the rollout rng."""
+        return False
 
     @property
     def n_cells(self) -> int:

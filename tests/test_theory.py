@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from attacksearch import proposal
+from attacksearch import proposal, theory
 from attacksearch.configspace import (AllocationRule, AttackFamily, ConfigSpace,
                                       FamilyGrid, default_config_space)
+from attacksearch.evaluation import DEFAULT_WEIGHTS
 from attacksearch.proposal import ProposalDistribution
+from attacksearch.runconfig import TheorySpec
 from attacksearch.search import SearchParams, run_search
 from attacksearch.theory import (UtilityMap, baseline_gap, baseline_gap_direct,
                                  brute_force_utility, brute_force_utility_reference,
@@ -202,7 +206,7 @@ def test_rising_mass_sequence_beats_fixed_bound(rng):
         sequence.append(proposal.correction_operator(sequence[-1], star, gamma))
     mask = np.array([True, False])
     report = monte_carlo_hitting_time(sequence, mask, 4, 5000, rng)
-    assert report.p == pytest.approx(p0)
+    assert report.bound == pytest.approx(hitting_time_bound(p0, 4))
     assert report.empirical <= report.bound + 3 * report.standard_error
     assert report.passed
 
@@ -213,6 +217,29 @@ def test_zero_mass_reports_no_guarantee(rng):
     report = monte_carlo_hitting_time(q, mask, 2, 50, rng, max_rounds=64)
     assert not report.passed
     assert math.isinf(report.bound)
+
+
+def test_hitting_time_verdict_rejects_bound_for_one_more_draw(monkeypatch):
+    """The default p0.1-b8 verdict keeps its power at the 1e-4 level.
+
+    A bound computed for b+1 = 9 draws sits about 15 standard errors below
+    the true mean at the default trial count, so the verdict must FAIL it.
+    """
+    assert theory.HITTING_TIME_Z == NormalDist().inv_cdf(1.0 - 1e-4)
+    section = replace(TheorySpec(), identity_tuples=1, random_pairs=1,
+                      coverage_trials=1, coverage_episodes=1)
+
+    def p01_b8_row():
+        rows = theory.theory_checks(0, section, DEFAULT_WEIGHTS)
+        return next(row for row in rows if row.name == "hitting-time-p0.1-b8")
+
+    assert p01_b8_row().passed
+    exact = theory.hitting_time_bound
+    monkeypatch.setattr(theory, "hitting_time_bound", lambda p, b: exact(p, b + 1))
+    mutant = p01_b8_row()
+    assert mutant.bound == exact(0.1, 9)
+    assert mutant.empirical - mutant.bound > 10 * mutant.standard_error
+    assert not mutant.passed
 
 
 # ---------------------------------------------------------------- noisy correction
