@@ -240,6 +240,20 @@ def _square_search(surface: LinearAttackSurface, obs: np.ndarray, action: int,
     return AttackResult(delta, best_loss, evals)
 
 
+# What synthesis reads beyond (obs, clean action, config, effective steps).
+# A decision point that reads neither the step rng nor the previous step is
+# a pure function of those four, so a rollout may synthesize it once and
+# replay it; these two predicates are the only place that is decided.
+def reads_step_rng(config: AttackConfig) -> bool:
+    """Whether synthesis for `config` draws from the per-step generator."""
+    return config.family is AttackFamily.SQUARE
+
+
+def reads_previous_step(config: AttackConfig) -> bool:
+    """Whether synthesis for `config` reads the previous latent and action."""
+    return config.family is AttackFamily.PHYSCOND_WMA
+
+
 def synthesize_delta(surface: LinearAttackSurface, obs: np.ndarray, action: int,
                      config: AttackConfig, effective_steps: int,
                      rng: np.random.Generator,

@@ -128,8 +128,12 @@ class MemoryRecord:
         if arr.shape != (FEATURE_LENGTH,):
             raise ValueError(f"features must have length {FEATURE_LENGTH}, "
                              f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or not math.isfinite(self.utility):
-            raise ValueError("memory records must be finite")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("memory record features must be finite")
+        for name in ("utility", "drop", "flip", "timestamp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"memory record {name} must be finite, "
+                                 f"got {getattr(self, name)}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "features", arr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,13 @@ class ProposalDistribution:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ProposalError("probability vector must be 1-d and non-empty")
+        total = float(arr.sum())
+        # any NaN or infinite entry makes the sum non-finite; NaN would
+        # otherwise pass both checks below
+        if not math.isfinite(total):
+            raise ProposalError("probabilities must be finite")
         if np.any(arr < 0):
             raise ProposalError("probabilities must be >= 0")
-        total = float(arr.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ProposalError(f"probabilities must sum to 1 (got {total!r})")
         arr = arr.copy()

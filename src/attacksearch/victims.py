@@ -18,7 +18,11 @@ Two built-ins:
   the policy reads it. Perturbations are synthesized per decision point,
   projected to the epsilon/255 ball and the observation box, and the
   environment advances with the attacked action while its dynamics stay
-  untouched.
+  untouched. A decision point whose outcome depends only on its cell is
+  synthesized once per rollout and replayed after that; for physcond-wma
+  the key also holds the previous latent and action, and square still
+  draws from its own per-step stream every time. The virtual clock
+  charges every decision point, computed or replayed.
 
 Both victims are immutable parameter records plus pure rollout functions; given
 equal seeds and arguments, rollouts are bit-reproducible except for the
@@ -391,6 +395,24 @@ class LinearWorldModelVictim:
         frac = _clip01(margin)
         return math.ceil(1 + (config.steps - 1) * frac)
 
+    def _decision_point(self, config: AttackConfig | None, cell: int,
+                        rng: np.random.Generator | None, prev_latent: np.ndarray | None,
+                        prev_action: int | None) -> tuple:
+        """(obs, clean action, perturbed obs, action, margin, latent,
+        predicted next latent, loss evals) at `cell`; clean without a config."""
+        obs = self.observe(cell)
+        clean_action, margin, latent = self._policy(obs)
+        action, perturbed, loss_evals = clean_action, None, 0
+        if config is not None:
+            result = synthesize_delta(self.attack_surface, obs, clean_action, config,
+                                      self.effective_steps(config, margin), rng,
+                                      prev_latent, prev_action)
+            perturbed = apply_perturbation(obs, result.delta, config.epsilon)
+            action, margin, latent = self._policy(perturbed)
+            loss_evals = result.loss_evals
+        pred = self.attack_surface.predicted_latent(latent, action)
+        return obs, clean_action, perturbed, action, margin, latent, pred, loss_evals
+
     def clean_rollout(self, episodes: int, rng: np.random.Generator) -> RolloutBatch:
         return self._rollout(None, episodes, rng)
 
@@ -403,13 +425,20 @@ class LinearWorldModelVictim:
         """The episode loop; with a config, each observation is attacked first.
 
         An attacked step observes the cell and reads the clean policy once,
-        synthesizes a perturbation from the row's own stream (ep, t, seed),
-        and records the policy's readout of the perturbed observation.
+        synthesizes a perturbation, and records the policy's readout of the
+        perturbed observation. A step whose outcome depends only on its cell
+        is computed once per call and replayed from a memo local to this
+        call; for physcond-wma the key also holds the previous latent and
+        action. Square draws from the row's own stream (ep, t, seed) and is
+        never replayed. Every step is charged to the virtual clock.
         """
         _require_episodes(episodes)
         start = time.perf_counter()
         attacked = config is not None
+        reads_rng = attacked and attacks.reads_step_rng(config)
+        reads_previous = attacked and attacks.reads_previous_step(config)
         root = int(rng.integers(2 ** 63))
+        memo: dict = {}
         traces, returns, flips = [], [], []
         virtual = 0.0
         for ep in range(episodes):
@@ -420,23 +449,23 @@ class LinearWorldModelVictim:
             latent: np.ndarray | None = None
             action: int | None = None
             for t in range(self.horizon):
-                obs = self.observe(cell)
-                clean_action, margin, clean_latent = self._policy(obs)
-                loss_evals = 0
-                if config is None:
-                    action, latent = clean_action, clean_latent
+                if reads_rng:
+                    key = None
+                elif reads_previous:
+                    key = (cell, action, None if latent is None else latent.tobytes())
                 else:
-                    result = synthesize_delta(
-                        self.attack_surface, obs, clean_action, config,
-                        self.effective_steps(config, margin),
-                        Stream(root, (ep, t, config.seed)).generator(), latent, action)
-                    perturbed = apply_perturbation(obs, result.delta, config.epsilon)
-                    action, margin, latent = self._policy(perturbed)
-                    loss_evals = result.loss_evals
+                    key = cell
+                point = memo.get(key)
+                if point is None:
+                    step_rng = Stream(root, (ep, t, config.seed)).generator() if reads_rng else None
+                    point = self._decision_point(config, cell, step_rng, latent, action)
+                    if key is not None:
+                        memo[key] = point
+                obs, clean_action, perturbed, action, margin, latent, pred, loss_evals = point
+                if attacked:
                     flips.append(action != clean_action)
                     obs_rows.append(obs)
                     pert_rows.append(perturbed)
-                pred = self.attack_surface.predicted_latent(latent, action)
                 cell, reward, done = self.transition(cell, action)
                 latents.append(latent)
                 preds.append(pred)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,3 +339,19 @@ def test_insert_does_not_move_normalization(rng):
     for r, s in after:
         if r.task_id in before_scores:
             assert s == before_scores[r.task_id]
+
+
+
+@pytest.mark.parametrize("key,field", [("d", "drop"), ("f", "flip"), ("ts", "timestamp")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_load_rejects_non_finite_scalars(tmp_path, rng, key, field, bad):
+    # such a file used to load and then fail on the next save
+    path = tmp_path / "memory.jsonl"
+    build_memory(3, rng).save(path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1][key] = bad
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(RecordFormatError, match=rf"memory\.jsonl:2: .*{field} must be finite") \
+            as err:
+        AttackMemory.load(path)
+    assert (err.value.path, err.value.line_number) == (str(path), 2)

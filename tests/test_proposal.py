@@ -33,6 +33,15 @@ def test_rejects_negative_and_unnormalized():
         ProposalDistribution(np.array([0.5, 0.4]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_entries(bad):
+    # NaN slips past both the sign and the mass check, so it needs its own
+    with pytest.raises(ProposalError, match="finite"):
+        ProposalDistribution(np.array([bad, 1.0]))
+    with pytest.raises(ProposalError, match="finite"):
+        ProposalDistribution(np.array([0.0, bad, 1.0]))
+
+
 def test_probs_read_only():
     q = uniform(3)
     with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+from attacksearch import attacks, victims
 from attacksearch.configspace import AllocationRule, AttackConfig, AttackFamily
 from attacksearch.rngutil import Stream
-from attacksearch.victims import (ResponseSurfaceVictim, surface_task,
+from attacksearch.victims import (EpisodeTrace, LinearWorldModelVictim,
+                                  ResponseSurfaceVictim, surface_task,
                                   surface_task_family)
 
 
@@ -186,3 +189,105 @@ def test_attack_hurts_returns_at_high_budget(linear_victim):
                                               Stream(17).generator())
     assert attacked.returns.mean() < clean.returns.mean()
     assert attacked.flips.mean() > 0.3
+
+
+# ---------------------------------------------------------------- per-rollout memo
+
+
+def _reference_rollout(victim, config, episodes, rng):
+    """The episode loop synthesizing at every decision point, with no memo."""
+    root = int(rng.integers(2 ** 63))
+    traces, returns, flips = [], [], []
+    virtual = 0.0
+    for ep in range(episodes):
+        cell = int(Stream(root, (ep,)).generator().integers(victim.n_cells))
+        latents, preds, actions, rewards, margins = [], [], [], [], []
+        obs_rows, pert_rows = [], []
+        latent, action = None, None
+        for t in range(victim.horizon):
+            obs = victim.observe(cell)
+            clean_action, margin, _ = victim._policy(obs)
+            result = attacks.synthesize_delta(
+                victim.attack_surface, obs, clean_action, config,
+                victim.effective_steps(config, margin),
+                Stream(root, (ep, t, config.seed)).generator(), latent, action)
+            perturbed = attacks.apply_perturbation(obs, result.delta, config.epsilon)
+            action, margin, latent = victim._policy(perturbed)
+            flips.append(action != clean_action)
+            obs_rows.append(obs)
+            pert_rows.append(perturbed)
+            preds.append(victim.attack_surface.predicted_latent(latent, action))
+            cell, reward, done = victim.transition(cell, action)
+            latents.append(latent)
+            actions.append(action)
+            rewards.append(reward)
+            margins.append(margin)
+            virtual += victim.step_cost_seconds + victim.gradient_cost_seconds * result.loss_evals
+            if done:
+                break
+        traces.append(EpisodeTrace(
+            latents=np.array(latents), predicted_next=np.array(preds),
+            actions=np.array(actions), rewards=np.array(rewards),
+            margins=np.array(margins), observations=np.array(obs_rows),
+            perturbed=np.array(pert_rows)))
+        returns.append(math.fsum(rewards))
+    return np.array(returns, dtype=float), np.array(flips, dtype=bool), virtual, traces
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+MEMO_VICTIMS = {
+    "default": LinearWorldModelVictim("memo-default", horizon=8),
+    "small": LinearWorldModelVictim("memo-small", obs_dim=16, latent_dim=4, grid_size=3,
+                                    horizon=10, weight_seed=5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MEMO_VICTIMS))
+@pytest.mark.parametrize("restarts", [1, 2])
+@pytest.mark.parametrize("epsilon", [0, 8])
+@pytest.mark.parametrize("alloc", list(AllocationRule))
+@pytest.mark.parametrize("family", list(AttackFamily))
+def test_attacked_rollout_matches_per_step_reference(family, alloc, epsilon, restarts, shape):
+    victim = MEMO_VICTIMS[shape]
+    config = cfg(family=family, epsilon=epsilon, steps=6, restarts=restarts, alloc=alloc, seed=3)
+    batch = victim.attacked_rollout(config, 8, Stream(21).generator())
+    returns, flips, virtual, traces = _reference_rollout(victim, config, 8,
+                                                         Stream(21).generator())
+    assert _same_bits(batch.returns, returns)
+    assert _same_bits(batch.flips, flips)
+    assert batch.elapsed_virtual == virtual
+    assert len(batch.trajectories) == len(traces)
+    for got, want in zip(batch.trajectories, traces):
+        for field in dataclasses.fields(EpisodeTrace):
+            assert _same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("family", list(AttackFamily))
+def test_synthesis_count_per_rollout(linear_victim, monkeypatch, family):
+    calls, generators = [], []
+    real_synth, real_generator = victims.synthesize_delta, Stream.generator
+    monkeypatch.setattr(victims, "synthesize_delta",
+                        lambda *args: calls.append(1) or real_synth(*args))
+    monkeypatch.setattr(Stream, "generator",
+                        lambda self: generators.append(1) or real_generator(self))
+    episodes = 8
+    batch = linear_victim.attacked_rollout(cfg(family=family, epsilon=8, steps=6),
+                                           episodes, Stream(22).generator())
+    generators_before = 1  # the caller's rng above
+    decisions = batch.flips.size
+    distinct_rows = len({row.tobytes() for trace in batch.trajectories
+                         for row in trace.observations})
+    if family is AttackFamily.SQUARE:
+        assert len(calls) == decisions
+        assert len(generators) == generators_before + episodes + decisions
+    else:
+        assert len(generators) == generators_before + episodes
+        if family is AttackFamily.PHYSCOND_WMA:
+            assert distinct_rows <= len(calls) <= decisions
+        else:
+            assert len(calls) == distinct_rows < decisions
