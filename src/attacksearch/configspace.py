@@ -189,7 +189,7 @@ class ConfigSpace:
     def families(self) -> tuple[AttackFamily, ...]:
         return tuple(f for f in AttackFamily if f in self.grids)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(self.grids[f].cardinality for f in self.families)
 

@@ -75,7 +75,7 @@ def reward_drop(j_clean: float, j_adv: float) -> float:
 
 def variability(returns, j_clean: float) -> float:
     """Population standard deviation of returns, normalized by |J_clean|+1."""
-    arr = np.asarray(list(returns), dtype=float)
+    arr = np.asarray(returns, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one return")
     if arr.size == 1:
@@ -119,15 +119,16 @@ def estimate_utility(victim, config: AttackConfig, episodes: int,
         batch = victim.attacked_rollout(config, episodes, rng)
     except Exception as exc:  # attach the offending config
         raise VictimEvaluationError(config, exc) from exc
-    j_adv = float(np.mean(batch.returns))
+    returns = batch.returns
+    j_adv = float(returns.sum() / returns.size)   # np.mean's arithmetic, without its wrapper
     drop = reward_drop(baseline.j_clean, j_adv)
     flip = batch.flip_fraction
     runtime = batch.elapsed_virtual / episodes
-    var = variability(batch.returns, baseline.j_clean)
+    var = variability(returns, baseline.j_clean)
     utility = scalarize(drop, flip, runtime, var, weights)
     return UtilityReport(config=config, drop=drop, flip=flip, runtime=runtime,
                          variability=var, utility=utility, episodes=episodes,
-                         returns=tuple(float(r) for r in batch.returns), phase=phase)
+                         returns=tuple(returns.tolist()), phase=phase)
 
 
 @dataclass(frozen=True)

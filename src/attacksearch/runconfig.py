@@ -82,14 +82,14 @@ def _key(default, comment: str = "", check=None):
 class VictimSpec:
     kind: str = _key("surface", "surface | linear", _one_of(("surface", "linear")))
     task_id: str = "task-000"
-    task_seed: int = 0
+    task_seed: int = _key(0, check=_at_least(0))
     noise: float = _key(0.0, "return-noise scale; surface only", _at_least(0))
     horizon: int = _key(10, check=_at_least(1))
     action_count: int = _key(6, "surface only")
     obs_dim: int = _key(64, "linear only")
     latent_dim: int = _key(12, "linear only")
     grid_size: int = _key(5, "linear only")
-    weight_seed: int = _key(0, "linear only")
+    weight_seed: int = _key(0, "linear only", _at_least(0))
     baseline_episodes: int = _key(3, check=_at_least(1))
     dump_trajectories: bool = False
 
@@ -158,7 +158,7 @@ class TheorySpec:
 @dataclass(frozen=True)
 class BenchSpec:
     tasks: int = _key(10, check=_at_least(1))
-    family_seed: int = 0
+    family_seed: int = _key(0, check=_at_least(0))
     noise: float = _key(0.2, check=_at_least(0))
     methods: tuple[str, ...] = _key(METHODS, check=_members(METHODS, "method"))
 
@@ -166,7 +166,7 @@ class BenchSpec:
 @dataclass(frozen=True)
 class MemorySpec:
     tasks: int = _key(20, check=_at_least(1))
-    family_seed: int = 0
+    family_seed: int = _key(0, check=_at_least(0))
 
 
 @dataclass(frozen=True)

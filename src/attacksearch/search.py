@@ -150,18 +150,24 @@ def propose_batch(q: ProposalDistribution, b: int, history: SearchHistory,
     Returns every remaining index when fewer than b are unevaluated, and an
     empty list when the space is exhausted. If the proposal places no mass
     on the unevaluated set, sampling falls back to uniform over it.
+
+    The remaining set is read off one boolean mask over the space, built
+    from `history.evaluated` on every call; each draw then zeroes the
+    picked weight in place. The sequence of `rng.choice` calls and their
+    probability vectors is the same as removing picks one by one.
     """
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
     if q.size != history.space_size:
         raise ProposalError("proposal is not aligned with the search space")
-    remaining = np.setdiff1d(np.arange(q.size), np.fromiter(history.evaluated, dtype=int,
-                                                            count=len(history.evaluated)))
+    unevaluated = np.ones(q.size, dtype=bool)
+    unevaluated[list(history.evaluated)] = False
+    remaining = np.flatnonzero(unevaluated)
     if remaining.size == 0:
         return []
     if remaining.size <= b:
         return [int(i) for i in remaining]
-    weights = q.probs[remaining].copy()
+    weights = q.probs[remaining]
     total = weights.sum()
     if total <= 0.0:
         weights = np.full(remaining.size, 1.0 / remaining.size)
@@ -170,13 +176,14 @@ def propose_batch(q: ProposalDistribution, b: int, history: SearchHistory,
     chosen: list[int] = []
     alive = np.ones(remaining.size, dtype=bool)
     for _ in range(b):
-        w = np.where(alive, weights, 0.0)
+        w = weights
         w_total = w.sum()
         if w_total <= 0.0:
             w = alive.astype(float)
             w_total = w.sum()
         pick = int(rng.choice(remaining.size, p=w / w_total))
         alive[pick] = False
+        weights[pick] = 0.0
         chosen.append(int(remaining[pick]))
     return chosen
 

@@ -87,7 +87,8 @@ class RolloutBatch:
             return self.flip_rate_exact
         if self.flips is None or self.flips.size == 0:
             return 0.0
-        return float(np.mean(self.flips))
+        # np.mean's arithmetic (exact count over size), as a Python float
+        return int(np.count_nonzero(self.flips)) / self.flips.size
 
 
 def _require_episodes(episodes: int) -> None:

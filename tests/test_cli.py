@@ -136,6 +136,13 @@ def test_unknown_key_exit_code(tmp_path):
     assert main(["search", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("victim", ["{task_seed: -3}", "{kind: linear, weight_seed: -2}"])
+def test_negative_victim_seed_exit_code(tmp_path, capsys, victim):
+    cfg = write_config(tmp_path, f"out_dir: {tmp_path}\nvictim: {victim}\n")
+    assert main(["search", "--config", str(cfg)]) == 2
+    assert "_seed" in capsys.readouterr().err
+
+
 def test_memory_mode_requires_path(tmp_path):
     cfg = write_config(tmp_path, "out_dir: %s\n" % tmp_path)
     assert main(["memory", "--config", str(cfg)]) == 2

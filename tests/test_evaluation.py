@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from attacksearch.configspace import AllocationRule, AttackConfig, AttackFamily
 from attacksearch.evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityWeights,
                                      estimate_utility, make_baseline, reward_drop,
                                      scalarize, scout_confirm, variability)
 from attacksearch.rngutil import Stream
-from attacksearch.victims import surface_task
+from attacksearch.victims import RolloutBatch, surface_task
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -257,3 +259,39 @@ def test_make_baseline(surface_victim):
     assert baseline.episodes == 4
     assert math.isclose(baseline.j_clean, surface_victim.j_clean, rel_tol=1e-12)
     assert baseline.batch is not None and len(baseline.batch.trajectories) == 4
+
+
+# ---------------------------------------------------------------- means without np.mean
+
+
+class FixedBatchVictim:
+    """Returns one prepared rollout batch, whatever it is asked."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def attacked_rollout(self, config, episodes, rng):
+        return self.batch
+
+
+def same_bits(a: float, b: float) -> bool:
+    return type(a) is type(b) is float and a.hex() == b.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(returns=hnp.arrays(np.float64, st.integers(1, 64),
+                          elements=st.floats(-1e9, 1e9, allow_nan=False)),
+       flips=hnp.arrays(np.bool_, st.integers(1, 64)))
+def test_means_match_np_mean_bit_for_bit(returns, flips):
+    """flip_fraction and estimate_utility's mean return are np.mean's
+    arithmetic: equal to float(np.mean(...)) to the bit, as Python floats."""
+    batch = RolloutBatch(returns=returns, flips=flips, elapsed_wall=0.0,
+                         elapsed_virtual=0.0)
+    assert same_bits(batch.flip_fraction, float(np.mean(flips)))
+    # with J_clean = 0 the drop is (0 - J_adv) / 1, which determines J_adv
+    report = estimate_utility(FixedBatchVictim(batch), cfg(), returns.size,
+                              CleanBaseline(j_clean=0.0, episodes=1), None)
+    assert same_bits(report.drop, reward_drop(0.0, float(np.mean(returns))))
+    assert same_bits(report.flip, float(np.mean(flips)))
+    assert report.returns == tuple(float(r) for r in returns)
+    assert all(type(r) is float for r in report.returns)

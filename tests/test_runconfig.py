@@ -137,6 +137,8 @@ def place(dotted: str, value: str) -> tuple[str, int]:
 
 CONSTRAINT_VIOLATIONS = [
     ("mode", "evaluate"), ("seed", "-1"),
+    ("victim.task_seed", "-3"), ("victim.weight_seed", "-2"),
+    ("bench.family_seed", "-1"), ("memory.family_seed", "-1"),
     ("victim.kind", "cubic"), ("victim.noise", "-0.5"), ("victim.horizon", "0"),
     ("victim.baseline_episodes", "0"),
     ("space.families", "[]"), ("space.families", "[apgd-ce, gradient-magic]"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attacksearch import proposal
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
@@ -137,6 +139,82 @@ def test_inclusion_frequency_matches_uniform_without_replacement():
     se = math.sqrt(p * (1 - p) / trials)
     freq = counts / trials
     assert np.all(np.abs(freq - p) <= 3 * se + 1e-12)
+
+
+def setdiff_propose_batch(q, b, history, rng):
+    """propose_batch as it was written with a set difference and a fresh
+    masked copy of the weights per draw: the reference the mask form must
+    reproduce draw for draw."""
+    remaining = np.setdiff1d(np.arange(q.size), np.fromiter(history.evaluated, dtype=int,
+                                                            count=len(history.evaluated)))
+    if remaining.size == 0:
+        return []
+    if remaining.size <= b:
+        return [int(i) for i in remaining]
+    weights = q.probs[remaining].copy()
+    total = weights.sum()
+    if total <= 0.0:
+        weights = np.full(remaining.size, 1.0 / remaining.size)
+    else:
+        weights = weights / total
+    chosen = []
+    alive = np.ones(remaining.size, dtype=bool)
+    for _ in range(b):
+        w = np.where(alive, weights, 0.0)
+        w_total = w.sum()
+        if w_total <= 0.0:
+            w = alive.astype(float)
+            w_total = w.sum()
+        pick = int(rng.choice(remaining.size, p=w / w_total))
+        alive[pick] = False
+        chosen.append(int(remaining[pick]))
+    return chosen
+
+
+def generator_state(rng) -> dict:
+    """The bit generator's state with its arrays as lists, so states compare with ==."""
+    return {key: {k: np.asarray(v).tolist() for k, v in value.items()}
+            if isinstance(value, dict) else np.asarray(value).tolist()
+            for key, value in rng.bit_generator.state.items()}
+
+
+@st.composite
+def proposal_cases(draw):
+    """(probs, b, evaluated, seed): skewed, sparse, or zero on the unevaluated set."""
+    size = draw(st.integers(1, 60))
+    evaluated = draw(st.sets(st.integers(0, size - 1), max_size=size))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    shape = draw(st.sampled_from(["raw", "cubed", "sparse", "on-evaluated"]))
+    if shape == "cubed":
+        raw = raw ** 3
+    elif shape == "sparse":
+        raw[raw < 0.8] = 0.0
+    elif shape == "on-evaluated":      # no mass where sampling happens: uniform fallback
+        raw = np.zeros(size)
+        raw[sorted(evaluated)] = 1.0
+    if raw.sum() <= 0.0:
+        raw[draw(st.integers(0, size - 1))] = 1.0
+    b = draw(st.integers(1, size + 2))
+    return raw / raw.sum(), b, evaluated, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=proposal_cases(), rounds=st.integers(1, 4))
+def test_propose_batch_matches_setdiff_reference(case, rounds):
+    """Same indices and same generator state as the reference, over several
+    rounds on a history that is edited directly between calls."""
+    probs, b, evaluated, seed = case
+    q = proposal.ProposalDistribution(probs)
+    history = SearchHistory(space_size=q.size)
+    history.evaluated.update(evaluated)
+    rng, reference_rng = Stream(seed).generator(), Stream(seed).generator()
+    for _ in range(rounds):
+        batch = propose_batch(q, b, history, rng)
+        assert batch == setdiff_propose_batch(q, b, history, reference_rng)
+        assert generator_state(rng) == generator_state(reference_rng)
+        history.evaluated.update(batch)
+        if batch:
+            history.evaluated.discard(batch[0])   # a direct edit the next call must see
 
 
 # ---------------------------------------------------------------- induced proposal
