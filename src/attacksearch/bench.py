@@ -23,7 +23,7 @@ from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
 from .evaluation import CleanBaseline, make_baseline
 from .logs import (best_so_far_curve, read_trial_log, search_summary_record,
-                   threshold_outcome, trial_records, write_trial_log)
+                   threshold_outcome, trial_records)
 from .memory import AttackMemory, MemoryRecord, summarize, warm_start
 from .proposal import ProposalDistribution
 from .rngutil import Stream
@@ -92,6 +92,9 @@ def _memory_record(victim, baseline: CleanBaseline, result: SearchResult,
 
 
 def run_search_mode(config: RunConfig, out_dir: Path) -> int:
+    if config.search.update_memory and not config.retrieval.memory_path:
+        raise RunConfigError("update_memory requires retrieval.memory_path",
+                             key="retrieval.memory_path")
     victim = build_victim(config)
     space = build_space(config)
     weights = build_weights(config)
@@ -103,7 +106,7 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     result = run_search(victim, space, params, q0, baseline, weights,
                         record_proposals=config.search.dump_proposals)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trial_log(out_dir / "trial_log.jsonl", result.history, space)
+    write_records(out_dir / "trial_log.jsonl", trial_records(result.history, space))
     write_records(out_dir / "result.json",
                   [search_summary_record(result.history, space, result.best_index)])
     if config.search.dump_proposals:
@@ -120,9 +123,6 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
                              "margin": float(trace.margins[t])})
         write_records(out_dir / "trajectories.jsonl", rows)
     if config.search.update_memory:
-        if memory is None:
-            raise RunConfigError("update_memory requires retrieval.memory_path",
-                                 key="retrieval.memory_path")
         memory.insert(_memory_record(victim, baseline, result, memory))
         memory.save(config.retrieval.memory_path)
     print(f"best {result.best_config.encode()}  U={result.best_report.utility:.6f}  "
@@ -191,17 +191,26 @@ def run_theory_mode(config: RunConfig, out_dir: Path) -> int:
 # ----------------------------------------------------------------------
 
 
+def _surface_tasks(config: RunConfig, family_seed: int, tasks: int, noise: float,
+                   task_prefix: str = "task") -> list:
+    """The response-surface task family a memory or bench run searches."""
+    if config.victim.kind != "surface":
+        raise RunConfigError(f"{config.mode} mode generates response-surface task families",
+                             key="victim.kind")
+    return surface_task_family(family_seed, tasks, noise_scale=noise, task_prefix=task_prefix,
+                               horizon=config.victim.horizon,
+                               action_count=config.victim.action_count)
+
+
 def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
     path = config.retrieval.memory_path
     if not path:
         raise RunConfigError("memory mode requires retrieval.memory_path",
                              key="retrieval.memory_path")
+    tasks = _surface_tasks(config, config.memory.family_seed, config.memory.tasks,
+                           config.victim.noise, task_prefix="mem")
     space = build_space(config)
     weights = build_weights(config)
-    tasks = surface_task_family(config.memory.family_seed, config.memory.tasks,
-                                noise_scale=config.victim.noise,
-                                horizon=config.victim.horizon,
-                                task_prefix="mem", action_count=config.victim.action_count)
     memory = AttackMemory()
     for i, victim in enumerate(tasks):
         baseline = make_baseline(victim, config.victim.baseline_episodes,
@@ -223,14 +232,9 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
 
 
 def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
-    if config.victim.kind != "surface":
-        raise RunConfigError("bench mode generates response-surface task families",
-                             key="victim.kind")
+    tasks = _surface_tasks(config, config.bench.family_seed, config.bench.tasks,
+                           config.bench.noise)
     weights = build_weights(config)
-    tasks = surface_task_family(config.bench.family_seed, config.bench.tasks,
-                                noise_scale=config.bench.noise,
-                                horizon=config.victim.horizon,
-                                action_count=config.victim.action_count)
     memory = _load_memory(config)
     families = tuple(AttackFamily(f) for f in config.space.families)
     spaces = {f: build_space(replace(config, space=replace(config.space, families=(f.value,))))

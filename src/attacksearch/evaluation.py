@@ -39,12 +39,7 @@ DEFAULT_WEIGHTS = UtilityWeights()
 @dataclass(frozen=True)
 class CleanBaseline:
     j_clean: float
-    episodes: int
     batch: RolloutBatch | None = None   # clean stats, forwarded to summarization
-
-    def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise ValueError("baseline episodes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,6 @@ class UtilityReport:
     variability: float
     utility: float
     episodes: int
-    returns: tuple[float, ...]
     phase: str           # "scout" | "confirm"
 
     def __post_init__(self) -> None:
@@ -98,8 +92,7 @@ def scalarize(drop: float, flip: float, runtime: float, var: float,
 
 def make_baseline(victim, episodes: int, rng: np.random.Generator) -> CleanBaseline:
     batch = victim.clean_rollout(episodes, rng)
-    return CleanBaseline(j_clean=float(np.mean(batch.returns)),
-                         episodes=episodes, batch=batch)
+    return CleanBaseline(j_clean=float(np.mean(batch.returns)), batch=batch)
 
 
 class VictimEvaluationError(RuntimeError):
@@ -128,7 +121,7 @@ def estimate_utility(victim, config: AttackConfig, episodes: int,
     utility = scalarize(drop, flip, runtime, var, weights)
     return UtilityReport(config=config, drop=drop, flip=flip, runtime=runtime,
                          variability=var, utility=utility, episodes=episodes,
-                         returns=tuple(returns.tolist()), phase=phase)
+                         phase=phase)
 
 
 @dataclass(frozen=True)

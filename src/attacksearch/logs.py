@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .configspace import ConfigSpace
 from .search import SearchHistory
-from .serial import read_records, write_records
+from .serial import read_records
 
 TRIAL_FIELDS = ("round", "phase", "config", "D", "F", "T", "V", "U", "episodes", "seed")
 
@@ -18,7 +18,7 @@ def trial_records(history: SearchHistory, space: ConfigSpace) -> list[dict]:
         report = entry.report
         out.append({
             "round": entry.round_index,
-            "phase": entry.phase,
+            "phase": report.phase,
             "config": space.configs[entry.config_index].encode(),
             "D": report.drop,
             "F": report.flip,
@@ -29,10 +29,6 @@ def trial_records(history: SearchHistory, space: ConfigSpace) -> list[dict]:
             "seed": entry.seed,
         })
     return out
-
-
-def write_trial_log(path, history: SearchHistory, space: ConfigSpace) -> None:
-    write_records(path, trial_records(history, space))
 
 
 def read_trial_log(path) -> list[dict]:
@@ -101,14 +97,12 @@ def threshold_outcome(records, fraction: float = 0.9) -> ThresholdOutcome:
 
 def search_summary_record(history: SearchHistory, space: ConfigSpace,
                           best_index: int) -> dict:
-    best = history.current_utility[best_index]
-    drops = [e.report.drop for e in history.entries if e.config_index == best_index]
-    flips = [e.report.flip for e in history.entries if e.config_index == best_index]
+    best = history.latest[best_index].report
     return {
         "best_config": space.configs[best_index].encode(),
-        "U": best,
-        "D": drops[-1],
-        "F": flips[-1],
+        "U": best.utility,
+        "D": best.drop,
+        "F": best.flip,
         "rounds": history.rounds,
         "episodes": history.episodes_used,
         "configs_evaluated": len(history.evaluated),
@@ -118,4 +112,4 @@ def search_summary_record(history: SearchHistory, space: ConfigSpace,
 
 __all__ = ["TRIAL_FIELDS", "TrialCurve", "ThresholdOutcome", "best_so_far_curve",
            "read_trial_log", "search_summary_record", "threshold_outcome",
-           "trial_records", "write_trial_log"]
+           "trial_records"]

@@ -33,8 +33,6 @@ FEATURE_NAMES = (
 class TaskSummary:
     task_id: str
     features: np.ndarray     # raw, length FEATURE_LENGTH
-    horizon: int
-    episodes: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.features, dtype=float)
@@ -97,8 +95,7 @@ def summarize(batch: RolloutBatch, task_id: str, horizon: int) -> TaskSummary:
         returns.mean(), returns.std(), horizon_fraction,
         float(np.mean(rewards > 0)),
     ])
-    return TaskSummary(task_id=task_id, features=features,
-                       horizon=horizon, episodes=len(traces))
+    return TaskSummary(task_id=task_id, features=features)
 
 
 def similarity(a, b) -> float:

@@ -85,10 +85,10 @@ class VictimSpec:
     task_seed: int = _key(0, check=_at_least(0))
     noise: float = _key(0.0, "return-noise scale; surface only", _at_least(0))
     horizon: int = _key(10, check=_at_least(1))
-    action_count: int = _key(6, "surface only")
-    obs_dim: int = _key(64, "linear only")
-    latent_dim: int = _key(12, "linear only")
-    grid_size: int = _key(5, "linear only")
+    action_count: int = _key(6, "surface only", _at_least(1))
+    obs_dim: int = _key(64, "linear only", _at_least(4))
+    latent_dim: int = _key(12, "linear only", _at_least(2))
+    grid_size: int = _key(5, "linear only", _at_least(2))
     weight_seed: int = _key(0, "linear only", _at_least(0))
     baseline_episodes: int = _key(3, check=_at_least(1))
     dump_trajectories: bool = False
@@ -324,8 +324,6 @@ def build_space(config: RunConfig) -> ConfigSpace:
     families = tuple(AttackFamily(f) for f in config.space.families)
     eps_over = {AttackFamily(f): tuple(v) for f, v in config.space.epsilons.items()}
     steps_over = {AttackFamily(f): tuple(v) for f, v in config.space.steps.items()}
-    eps_over = {f: v for f, v in eps_over.items() if f in families}
-    steps_over = {f: v for f, v in steps_over.items() if f in families}
     return default_config_space(
         families=families,
         restarts=config.space.restarts,

@@ -3,9 +3,9 @@
 Each round samples a batch from the current proposal (restricted to
 configurations not yet evaluated), evaluates it with the scout-confirm
 protocol, converts the outcomes into deterministic feedback signals,
-builds the feedback-induced proposal from the full history, and mixes it
-into the current proposal. The loop stops once exactly
-min(budget, |space|) distinct configurations have been evaluated.
+builds the feedback-induced proposal from each configuration's newest
+evaluation, and mixes it into the current proposal. The loop stops once
+exactly min(budget, |space|) distinct configurations have been evaluated.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import AttackConfig, ConfigSpace
-from .evaluation import (DEFAULT_WEIGHTS, CleanBaseline, Evaluation,
-                         UtilityReport, UtilityWeights, scout_confirm)
+from .evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityReport,
+                         UtilityWeights, scout_confirm)
 from .proposal import ProposalDistribution, ProposalError, update
 from .rngutil import Stream
 
@@ -96,7 +96,6 @@ class SearchParams:
 @dataclass
 class EvalEntry:
     round_index: int
-    phase: str
     config_index: int
     report: UtilityReport
     signal: FeedbackSignal
@@ -105,13 +104,12 @@ class EvalEntry:
 
 @dataclass
 class SearchHistory:
-    """Everything the search has observed, in evaluation order."""
+    """Every evaluation in order (`entries`), and the newest entry of each
+    evaluated config index (`latest`): a confirm replaces its scout there,
+    and the induced proposal and the search's best read it."""
 
-    space_size: int
     entries: list[EvalEntry] = field(default_factory=list)
-    evaluated: set[int] = field(default_factory=set)
-    current_utility: dict[int, float] = field(default_factory=dict)
-    current_signal: dict[int, FeedbackSignal] = field(default_factory=dict)
+    latest: dict[int, EvalEntry] = field(default_factory=dict)
     best_per_round: list[tuple[int, float]] = field(default_factory=list)
     episodes_used: int = 0
     virtual_seconds: float = 0.0
@@ -120,14 +118,22 @@ class SearchHistory:
 
     def record(self, entry: EvalEntry) -> None:
         self.entries.append(entry)
-        self.evaluated.add(entry.config_index)
-        # confirmed utilities replace scout utilities for the same config
-        self.current_utility[entry.config_index] = entry.report.utility
-        self.current_signal[entry.config_index] = entry.signal
+        self.latest[entry.config_index] = entry
         self.virtual_seconds += entry.report.runtime * entry.report.episodes
 
+    @property
+    def evaluated(self):
+        """The indices of every configuration evaluated so far."""
+        return self.latest.keys()
+
+    def best(self) -> EvalEntry:
+        """The newest entry of highest utility; ties go to the lowest index,
+        which is the lowest `sort_key`."""
+        return min(self.latest.values(), key=lambda e: (-e.report.utility, e.config_index))
+
     def close_round(self) -> None:
-        idx, value = _argmax_utility(self.current_utility)
+        best = self.best()
+        idx, value = best.config_index, best.report.utility
         if self.best_per_round and value < self.best_per_round[-1][1]:
             idx, value = self.best_per_round[-1]
         self.best_per_round.append((idx, value))
@@ -137,13 +143,7 @@ class SearchHistory:
         return len(self.best_per_round)
 
 
-def _argmax_utility(utilities: dict[int, float]) -> tuple[int, float]:
-    """Best utility; ties go to the lowest index, which is the lowest `sort_key`."""
-    best_idx = min(utilities, key=lambda i: (-utilities[i], i))
-    return best_idx, utilities[best_idx]
-
-
-def propose_batch(q: ProposalDistribution, b: int, history: SearchHistory,
+def propose_batch(q: ProposalDistribution, b: int, evaluated,
                   rng: np.random.Generator) -> list[int]:
     """Sample b distinct unevaluated configuration indices proportional to q.
 
@@ -152,16 +152,14 @@ def propose_batch(q: ProposalDistribution, b: int, history: SearchHistory,
     on the unevaluated set, sampling falls back to uniform over it.
 
     The remaining set is read off one boolean mask over the space, built
-    from `history.evaluated` on every call; each draw then zeroes the
+    from the `evaluated` indices on every call; each draw then zeroes the
     picked weight in place. The sequence of `rng.choice` calls and their
     probability vectors is the same as removing picks one by one.
     """
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    if q.size != history.space_size:
-        raise ProposalError("proposal is not aligned with the search space")
     unevaluated = np.ones(q.size, dtype=bool)
-    unevaluated[list(history.evaluated)] = False
+    unevaluated[list(evaluated)] = False
     remaining = np.flatnonzero(unevaluated)
     if remaining.size == 0:
         return []
@@ -192,23 +190,22 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
                      spread: float) -> ProposalDistribution:
     """Exploitation weights on evaluated configs plus neighborhood deposits.
 
-    Each evaluated config carries weight exp(beta * U) and spreads
-    spread * weight uniformly over the neighborhood of its position
-    shifted one grid step along any nonzero feedback direction.
+    Each evaluated config's newest entry gives it weight exp(beta * U) and
+    spreads spread * weight uniformly over the neighborhood of its position
+    shifted one grid step along any nonzero direction of its feedback.
     """
-    if not history.current_utility:
+    if not history.latest:
         raise ValueError("history contains no evaluated configurations")
     if beta < 0 or spread < 0:
         raise ValueError("beta and spread must be >= 0")
-    utilities = history.current_utility
-    u_max = max(utilities.values())
+    u_max = history.best().report.utility
     probs = np.zeros(space.size)
-    for idx, utility in utilities.items():
-        weight = math.exp(beta * (utility - u_max))
+    for idx, entry in history.latest.items():
+        weight = math.exp(beta * (entry.report.utility - u_max))
         probs[idx] += weight
         if spread <= 0:
             continue
-        signal = history.current_signal.get(idx, FeedbackSignal())
+        signal = entry.signal
         center = space.shifted(idx, epsilon_step=signal.epsilon_step,
                                steps_step=signal.steps_step,
                                toggle_allocation=signal.toggle_allocation)
@@ -220,10 +217,13 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
 
 @dataclass(frozen=True)
 class SearchResult:
-    best_config: AttackConfig
     best_report: UtilityReport
     best_index: int
     history: SearchHistory
+
+    @property
+    def best_config(self) -> AttackConfig:
+        return self.best_report.config
 
 
 def run_search(victim, space: ConfigSpace, params: SearchParams,
@@ -242,12 +242,11 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
     budget = params.budget
     if budget > space.size:
         budget = space.size
-    history = SearchHistory(space_size=space.size)
+    history = SearchHistory()
     if budget < params.budget:
         note = f"budget clamped from {params.budget} to {budget} (space size)"
         logger.warning(note)
         history.notes.append(note)
-    best_eval: dict[int, Evaluation] = {}
     stream = Stream(params.seed)
     q = q0
     round_index = 0
@@ -255,7 +254,7 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         if record_proposals:
             history.proposal_snapshots.append(q.probs.copy())
         batch_budget = min(params.batch_size, budget - len(history.evaluated))
-        batch = propose_batch(q, batch_budget, history,
+        batch = propose_batch(q, batch_budget, history.evaluated,
                               stream.child(round_index, 0).generator())
         if not batch:
             break
@@ -267,16 +266,14 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         batch_index = dict(zip(configs, batch))
         for ev in outcome.scouts + outcome.confirms:
             idx = batch_index[ev.report.config]
-            history.record(EvalEntry(round_index, ev.report.phase, idx, ev.report,
+            history.record(EvalEntry(round_index, idx, ev.report,
                                      feedback(ev.report, weights), ev.seed))
-            best_eval[idx] = ev
         history.episodes_used += outcome.episodes_used
         history.close_round()
         if refine and len(history.evaluated) < budget:
             q_hat = induced_proposal(history, space, params.beta, params.spread)
             q = update(q, q_hat, params.alpha_at(round_index + 1))
         round_index += 1
-    best_index, _ = _argmax_utility(history.current_utility)
-    return SearchResult(best_config=space.configs[best_index],
-                        best_report=best_eval[best_index].report,
-                        best_index=best_index, history=history)
+    best = history.best()
+    return SearchResult(best_report=best.report, best_index=best.config_index,
+                        history=history)

@@ -341,7 +341,7 @@ def coverage_experiment(victim: ResponseSurfaceVictim, space: ConfigSpace,
     pop = population_utility_map(victim, space, weights)
     pop_u = pop.utilities
     pop_star = pop.u_star
-    baseline = CleanBaseline(j_clean=victim.j_clean, episodes=1)
+    baseline = CleanBaseline(j_clean=victim.j_clean)
 
     covered = 0
     implied = 0

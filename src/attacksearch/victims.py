@@ -35,6 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -117,6 +118,8 @@ class ResponseSurfaceVictim:
             raise ValueError("theta components must lie in [0, 1]")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
+        if self.action_count < 1:
+            raise ValueError(f"action_count must be >= 1, got {self.action_count}")
 
     @property
     def is_deterministic(self) -> bool:
@@ -291,15 +294,14 @@ class LinearWorldModelVictim:
     obs_dim: int = 64
     latent_dim: int = 12
     grid_size: int = 5
-    action_count: int = 4
     horizon: int = 12
     weight_seed: int = 0
     gradient_cost_seconds: float = 0.05
     step_cost_seconds: float = 0.01
 
+    action_count: ClassVar[int] = 4    # the gridworld's four moves
+
     def __post_init__(self) -> None:
-        if self.action_count != 4:
-            raise ValueError("the gridworld victim uses exactly 4 move actions")
         if self.grid_size < 2 or self.obs_dim < 4 or self.latent_dim < 2:
             raise ValueError("victim dimensions too small")
 

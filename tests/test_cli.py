@@ -148,6 +148,14 @@ def test_memory_mode_requires_path(tmp_path):
     assert main(["memory", "--config", str(cfg)]) == 2
 
 
+def test_search_update_memory_without_path_fails_before_searching(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, SMALL_SEARCH.format(out=out) + "  update_memory: true\n")
+    assert main(["search", "--config", str(cfg)]) == 2
+    assert "retrieval.memory_path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_with_missing_memory_file_fails(tmp_path):
     out = tmp_path / "out"
     body = SMALL_SEARCH.format(out=out) + "retrieval:\n  memory_path: %s\n" % (
@@ -181,6 +189,18 @@ def bench_setup(tmp_path):
     assert main(["memory", "--config", str(cfg)]) == 0
     assert main(["bench", "--config", str(cfg)]) == 0
     return cfg, out, memory_path
+
+
+@pytest.mark.parametrize("mode", ["memory", "bench"])
+def test_task_family_modes_refuse_linear_victim(tmp_path, capsys, mode):
+    memory_path = tmp_path / "memory.jsonl"
+    cfg = write_config(tmp_path, BENCH.format(out=tmp_path / "out", memory=memory_path)
+                       + "victim:\n  kind: linear\n")
+    assert main([mode, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{mode} mode generates response-surface task families" in err
+    assert "victim.kind" in err
+    assert not memory_path.exists() and not (tmp_path / "out").exists()
 
 
 def test_memory_mode_builds_records(tmp_path):

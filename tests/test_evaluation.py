@@ -136,7 +136,7 @@ def test_noiseless_estimate_matches_population(surface_victim, surface_baseline)
 
 
 def test_single_episode_variability_zero(noisy_surface_victim):
-    baseline = CleanBaseline(j_clean=noisy_surface_victim.j_clean, episodes=1)
+    baseline = CleanBaseline(j_clean=noisy_surface_victim.j_clean)
     report = estimate_utility(noisy_surface_victim, cfg(), 1, baseline,
                               Stream(21).generator())
     assert report.variability == 0.0
@@ -145,7 +145,7 @@ def test_single_episode_variability_zero(noisy_surface_victim):
 def test_noisy_estimate_within_three_standard_errors(noisy_surface_victim):
     config = cfg(epsilon=10)
     m = 10_000
-    baseline = CleanBaseline(j_clean=noisy_surface_victim.j_clean, episodes=1)
+    baseline = CleanBaseline(j_clean=noisy_surface_victim.j_clean)
     report = estimate_utility(noisy_surface_victim, config, m, baseline,
                               Stream(22).generator())
     v = noisy_surface_victim
@@ -161,7 +161,7 @@ def test_noisy_estimate_within_three_standard_errors(noisy_surface_victim):
 
 
 def test_recompute_identity(noisy_surface_victim):
-    baseline = CleanBaseline(j_clean=noisy_surface_victim.j_clean, episodes=1)
+    baseline = CleanBaseline(j_clean=noisy_surface_victim.j_clean)
     for i, config in enumerate([cfg(4), cfg(8), cfg(16)]):
         report = estimate_utility(noisy_surface_victim, config, 6, baseline,
                                   Stream(23, (i,)).generator())
@@ -241,7 +241,7 @@ def test_scout_confirm_identifies_best_under_small_noise():
     confirmed best matches the noiseless argmax in >= 99/100 seeded runs."""
     noiseless = surface_task("sc-task", 31)
     noisy = surface_task("sc-task", 31, noise_scale=0.05)
-    baseline = CleanBaseline(j_clean=noiseless.j_clean, episodes=1)
+    baseline = CleanBaseline(j_clean=noiseless.j_clean)
     cands = [cfg(epsilon=e, steps=s) for e in (2, 8, 14, 20) for s in (4, 12, 20)]
     true_best = max(cands, key=lambda c: (
         scalarize(noiseless.drop_true(c), noiseless.flip_true(c),
@@ -256,7 +256,6 @@ def test_scout_confirm_identifies_best_under_small_noise():
 
 def test_make_baseline(surface_victim):
     baseline = make_baseline(surface_victim, 4, Stream(27).generator())
-    assert baseline.episodes == 4
     assert math.isclose(baseline.j_clean, surface_victim.j_clean, rel_tol=1e-12)
     assert baseline.batch is not None and len(baseline.batch.trajectories) == 4
 
@@ -290,8 +289,6 @@ def test_means_match_np_mean_bit_for_bit(returns, flips):
     assert same_bits(batch.flip_fraction, float(np.mean(flips)))
     # with J_clean = 0 the drop is (0 - J_adv) / 1, which determines J_adv
     report = estimate_utility(FixedBatchVictim(batch), cfg(), returns.size,
-                              CleanBaseline(j_clean=0.0, episodes=1), None)
+                              CleanBaseline(j_clean=0.0), None)
     assert same_bits(report.drop, reward_drop(0.0, float(np.mean(returns))))
     assert same_bits(report.flip, float(np.mean(flips)))
-    assert report.returns == tuple(float(r) for r in returns)
-    assert all(type(r) is float for r in report.returns)

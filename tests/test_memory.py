@@ -95,7 +95,7 @@ def test_empty_batch_rejected():
 
 
 def test_self_similarity_is_one():
-    s = TaskSummary("a", np.arange(1.0, 13.0), 10, 1)
+    s = TaskSummary("a", np.arange(1.0, 13.0))
     assert similarity(s, s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,7 +134,7 @@ def build_memory(n, rng):
 
 def test_retrieve_topk_matches_full_sort_oracle(rng):
     memory = build_memory(50, rng)
-    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH), 10, 1)
+    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH))
     got = memory.retrieve(query, 5)
     normalized_q = memory.normalize(query)
     oracle = sorted(
@@ -146,7 +146,7 @@ def test_retrieve_topk_matches_full_sort_oracle(rng):
 
 def test_retrieve_k_larger_than_memory(rng):
     memory = build_memory(4, rng)
-    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH), 10, 1)
+    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH))
     got = memory.retrieve(query, 10)
     assert len(got) == 4
     sims = [s for _, s in got]
@@ -156,7 +156,7 @@ def test_retrieve_k_larger_than_memory(rng):
 def test_retrieve_self_match_first(rng):
     memory = build_memory(10, rng)
     target = memory.records[3]
-    query = TaskSummary("q", target.features, 10, 1)
+    query = TaskSummary("q", target.features)
     top_record, top_sim = memory.retrieve(query, 1)[0]
     assert top_record.task_id == target.task_id
     assert top_sim == pytest.approx(1.0, abs=1e-12)
@@ -164,7 +164,7 @@ def test_retrieve_self_match_first(rng):
 
 def test_retrieve_empty_memory():
     memory = AttackMemory()
-    query = TaskSummary("q", np.arange(12.0), 10, 1)
+    query = TaskSummary("q", np.arange(12.0))
     assert memory.retrieve(query, 3) == []
 
 
@@ -174,7 +174,7 @@ def test_tie_break_earlier_timestamp():
         record("task-b", features, a_config(), 0.5, 1.0),
         record("task-a", features, a_config(), 0.5, 0.0),
     ])
-    got = memory.retrieve(TaskSummary("q", features, 10, 1), 2)
+    got = memory.retrieve(TaskSummary("q", features), 2)
     assert [r.task_id for r, _ in got] == ["task-a", "task-b"]
 
 
@@ -323,7 +323,7 @@ def test_load_rejects_wrong_feature_length(tmp_path, rng, short):
 
 def test_retrieval_unchanged_without_insert(rng):
     memory = build_memory(20, rng)
-    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH), 10, 1)
+    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH))
     first = memory.retrieve(query, 5)
     second = memory.retrieve(query, 5)
     assert [(r.task_id, s) for r, s in first] == [(r.task_id, s) for r, s in second]
@@ -331,7 +331,7 @@ def test_retrieval_unchanged_without_insert(rng):
 
 def test_insert_does_not_move_normalization(rng):
     memory = build_memory(20, rng)
-    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH), 10, 1)
+    query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH))
     before = memory.retrieve(query, 3)
     memory.insert(record("new", 100.0 * np.ones(FEATURE_LENGTH), a_config(), 3.0, 99.0))
     after = memory.retrieve(query, 3)

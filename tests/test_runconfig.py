@@ -140,7 +140,9 @@ CONSTRAINT_VIOLATIONS = [
     ("victim.task_seed", "-3"), ("victim.weight_seed", "-2"),
     ("bench.family_seed", "-1"), ("memory.family_seed", "-1"),
     ("victim.kind", "cubic"), ("victim.noise", "-0.5"), ("victim.horizon", "0"),
-    ("victim.baseline_episodes", "0"),
+    ("victim.baseline_episodes", "0"), ("victim.action_count", "0"),
+    ("victim.grid_size", "1"), ("victim.obs_dim", "2"), ("victim.obs_dim", "3"),
+    ("victim.latent_dim", "1"),
     ("space.families", "[]"), ("space.families", "[apgd-ce, gradient-magic]"),
     ("space.families", "[fab, fab]"),
     ("space.restarts", "[]"), ("space.rhos", "[]"), ("space.seeds", "[]"),

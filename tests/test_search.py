@@ -9,7 +9,7 @@ from attacksearch import proposal
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
                                       ConfigSpace, FamilyGrid)
 from attacksearch.evaluation import DEFAULT_WEIGHTS, UtilityReport
-from attacksearch.logs import trial_records
+from attacksearch.logs import search_summary_record, trial_records
 from attacksearch.rngutil import Stream
 from attacksearch.search import (EvalEntry, FeedbackSignal, SearchHistory,
                                  SearchParams, feedback, induced_proposal,
@@ -30,7 +30,7 @@ def report(drop=0.5, flip=0.5, runtime=1.0, var=0.0, config=None, episodes=2,
     return UtilityReport(config=config, drop=drop, flip=flip, runtime=runtime,
                          variability=var,
                          utility=scalarize(drop, flip, runtime, var),
-                         episodes=episodes, returns=(1.0,) * episodes, phase=phase)
+                         episodes=episodes, phase=phase)
 
 
 def search_space(eps=(2, 4, 8, 12, 16), steps=(4, 10)):
@@ -39,10 +39,9 @@ def search_space(eps=(2, 4, 8, 12, 16), steps=(4, 10)):
 
 
 def history_with(space, entries):
-    history = SearchHistory(space_size=space.size)
+    history = SearchHistory()
     for round_index, config, rep, signal in entries:
-        history.record(EvalEntry(round_index, rep.phase, space.index_of(config),
-                                 rep, signal, seed=0))
+        history.record(EvalEntry(round_index, space.index_of(config), rep, signal, seed=0))
     return history
 
 
@@ -82,44 +81,36 @@ def test_feedback_unstable_returns_rule():
 
 def test_point_mass_proposal_sampled():
     space = search_space()
-    history = SearchHistory(space_size=space.size)
     q = proposal.point_mass(space.size, 3)
-    batch = propose_batch(q, 1, history, Stream(1).generator())
+    batch = propose_batch(q, 1, set(), Stream(1).generator())
     assert batch == [3]
 
 
 def test_exhaustive_batch_returns_all_remaining():
     space = search_space(eps=(2, 4), steps=(4,))
-    history = SearchHistory(space_size=space.size)
     q = proposal.uniform(space.size)
-    batch = propose_batch(q, space.size, history, Stream(2).generator())
+    batch = propose_batch(q, space.size, set(), Stream(2).generator())
     assert batch == list(range(space.size))
 
 
 def test_exhausted_space_returns_empty():
     space = search_space(eps=(2,), steps=(4,))
-    history = SearchHistory(space_size=space.size)
-    history.evaluated.update(range(space.size))
-    assert propose_batch(proposal.uniform(space.size), 2, history,
+    assert propose_batch(proposal.uniform(space.size), 2, set(range(space.size)),
                          Stream(3).generator()) == []
 
 
 def test_batch_skips_evaluated_and_is_distinct():
     space = search_space()
-    history = SearchHistory(space_size=space.size)
-    history.evaluated.update({0, 1, 2})
     q = proposal.uniform(space.size)
-    batch = propose_batch(q, 5, history, Stream(4).generator())
+    batch = propose_batch(q, 5, {0, 1, 2}, Stream(4).generator())
     assert len(batch) == len(set(batch)) == 5
     assert not set(batch) & {0, 1, 2}
 
 
 def test_zero_mass_on_remaining_falls_back_to_uniform():
     space = search_space(eps=(2, 4), steps=(4,))
-    history = SearchHistory(space_size=space.size)
     q = proposal.point_mass(space.size, 0)
-    history.evaluated.add(0)
-    batch = propose_batch(q, 2, history, Stream(5).generator())
+    batch = propose_batch(q, 2, {0}, Stream(5).generator())
     assert len(batch) == len(set(batch)) == 2
     assert set(batch) <= {1, 2, 3}
 
@@ -129,11 +120,10 @@ def test_inclusion_frequency_matches_uniform_without_replacement():
     inclusion frequency within 3 binomial standard errors of 8/100."""
     size, b, trials = 100, 8, 10_000
     q = proposal.uniform(size)
-    history = SearchHistory(space_size=size)
     counts = np.zeros(size)
     gen = Stream(6).generator()
     for _ in range(trials):
-        for idx in propose_batch(q, b, history, gen):
+        for idx in propose_batch(q, b, set(), gen):
             counts[idx] += 1
     p = b / size
     se = math.sqrt(p * (1 - p) / trials)
@@ -141,12 +131,12 @@ def test_inclusion_frequency_matches_uniform_without_replacement():
     assert np.all(np.abs(freq - p) <= 3 * se + 1e-12)
 
 
-def setdiff_propose_batch(q, b, history, rng):
+def setdiff_propose_batch(q, b, evaluated, rng):
     """propose_batch as it was written with a set difference and a fresh
     masked copy of the weights per draw: the reference the mask form must
     reproduce draw for draw."""
-    remaining = np.setdiff1d(np.arange(q.size), np.fromiter(history.evaluated, dtype=int,
-                                                            count=len(history.evaluated)))
+    remaining = np.setdiff1d(np.arange(q.size), np.fromiter(evaluated, dtype=int,
+                                                            count=len(evaluated)))
     if remaining.size == 0:
         return []
     if remaining.size <= b:
@@ -202,19 +192,18 @@ def proposal_cases(draw):
 @given(case=proposal_cases(), rounds=st.integers(1, 4))
 def test_propose_batch_matches_setdiff_reference(case, rounds):
     """Same indices and same generator state as the reference, over several
-    rounds on a history that is edited directly between calls."""
+    rounds on an evaluated set that is edited directly between calls."""
     probs, b, evaluated, seed = case
+    evaluated = set(evaluated)
     q = proposal.ProposalDistribution(probs)
-    history = SearchHistory(space_size=q.size)
-    history.evaluated.update(evaluated)
     rng, reference_rng = Stream(seed).generator(), Stream(seed).generator()
     for _ in range(rounds):
-        batch = propose_batch(q, b, history, rng)
-        assert batch == setdiff_propose_batch(q, b, history, reference_rng)
+        batch = propose_batch(q, b, evaluated, rng)
+        assert batch == setdiff_propose_batch(q, b, evaluated, reference_rng)
         assert generator_state(rng) == generator_state(reference_rng)
-        history.evaluated.update(batch)
+        evaluated.update(batch)
         if batch:
-            history.evaluated.discard(batch[0])   # a direct edit the next call must see
+            evaluated.discard(batch[0])   # a direct edit the next call must see
 
 
 # ---------------------------------------------------------------- induced proposal
@@ -275,7 +264,7 @@ def test_induced_shifts_along_feedback_direction():
 def test_induced_requires_history():
     space = search_space()
     with pytest.raises(ValueError):
-        induced_proposal(SearchHistory(space_size=space.size), space, 1.0, 0.5)
+        induced_proposal(SearchHistory(), space, 1.0, 0.5)
 
 
 def test_close_round_tie_keeps_lowest_index():
@@ -286,6 +275,32 @@ def test_close_round_tie_keeps_lowest_index():
                                    for c in (high, low)])
     history.close_round()
     assert history.best_per_round == [(space.index_of(low), report().utility)]
+
+
+def test_confirm_replaces_its_scout():
+    """A confirm with a lower U than its scout is what `latest`, `best`,
+    `close_round` and the induced proposal read."""
+    space = search_space()
+    a, b = a_config(8, 10), a_config(2, 4)
+    scout = report(drop=0.9, config=a)
+    other = report(drop=0.5, config=b)
+    confirm = report(drop=0.1, config=a, episodes=5, phase="confirm")
+    shift = FeedbackSignal(epsilon_step=1)
+    history = history_with(space, [(0, a, scout, FeedbackSignal()),
+                                   (0, b, other, FeedbackSignal()),
+                                   (0, a, confirm, shift)])
+    i, j = space.index_of(a), space.index_of(b)
+    assert scout.utility > other.utility > confirm.utility
+    assert len(history.entries) == 3 and history.evaluated == {i, j}
+    assert history.latest[i].report is confirm and history.latest[i].signal == shift
+    assert history.best().config_index == j
+    history.close_round()
+    assert history.best_per_round == [(j, other.utility)]
+    confirmed_only = history_with(space, [(0, a, confirm, shift),
+                                          (0, b, other, FeedbackSignal())])
+    q = induced_proposal(history, space, beta=5.0, spread=1.0)
+    assert np.array_equal(q.probs,
+                          induced_proposal(confirmed_only, space, 5.0, 1.0).probs)
 
 
 # ---------------------------------------------------------------- run_search
@@ -352,6 +367,20 @@ def test_search_deterministic_trial_logs():
     a = run_search(victim, space, params, proposal.uniform(space.size), baseline)
     b = run_search(victim, space, params, proposal.uniform(space.size), baseline)
     assert trial_records(a.history, space) == trial_records(b.history, space)
+
+
+def test_result_and_summary_read_the_best_report():
+    space = search_space()
+    victim = surface_task("summary-task", 4, noise_scale=0.4)
+    baseline = make_baseline_for(victim)
+    params = SearchParams(budget=8, batch_size=4, seed=11)
+    result = run_search(victim, space, params, proposal.uniform(space.size), baseline)
+    best = result.best_report
+    assert result.best_config == space.configs[result.best_index]
+    assert result.history.latest[result.best_index].report is best
+    summary = search_summary_record(result.history, space, result.best_index)
+    assert (summary["U"], summary["D"], summary["F"]) == (best.utility, best.drop, best.flip)
+    assert summary["best_config"] == result.best_config.encode()
 
 
 def test_refine_false_never_updates_proposal():

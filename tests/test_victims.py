@@ -100,6 +100,8 @@ def test_surface_theta_validation():
         ResponseSurfaceVictim("bad", (0.5,) * 7)
     with pytest.raises(ValueError):
         ResponseSurfaceVictim("bad", (0.5,) * 7 + (1.5,))
+    with pytest.raises(ValueError, match="action_count"):
+        ResponseSurfaceVictim("bad", (0.5,) * 8, action_count=0)
 
 
 # ---------------------------------------------------------------- linear victim
