@@ -22,8 +22,8 @@ import numpy as np
 from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
 from .evaluation import CleanBaseline, make_baseline
-from .logs import (best_so_far_curve, read_trial_log, search_summary_record,
-                   threshold_outcome, trial_records)
+from .logs import (TRIAL_FIELDS, best_so_far_curve, read_trial_log,
+                   search_summary_record, threshold_outcome, trial_records)
 from .memory import AttackMemory, MemoryRecord, summarize, warm_start
 from .proposal import ProposalDistribution
 from .rngutil import Stream
@@ -31,7 +31,7 @@ from .runconfig import (METHOD_FULL, METHOD_RANDOM, RunConfig, RunConfigError,
                         build_search_params, build_space, build_victim,
                         build_weights)
 from .search import SearchResult, run_search
-from .serial import write_records
+from .serial import RecordFormatError, record_line, write_records
 from .theory import theory_checks
 from .victims import surface_task_family
 
@@ -41,6 +41,7 @@ SUMMARY_HEADER = "Task,Method,Drop,Flip,Utility,Time"
 EFFICIENCY_HEADER = "Method,Pairs,Hit Rate,Trials,Time"
 PARITY_HEADER = "Task,Family,Method,Configs"
 
+_TRIAL_KEYS = frozenset(TRIAL_FIELDS)
 _LOG_NAME = re.compile(r"^trials__(?P<task>.+)__(?P<family>[a-z-]+)__(?P<method>[a-z-]+)\.jsonl$")
 
 
@@ -94,7 +95,7 @@ def _memory_record(victim, baseline: CleanBaseline, result: SearchResult,
 def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     if config.search.update_memory and not config.retrieval.memory_path:
         raise RunConfigError("update_memory requires retrieval.memory_path",
-                             key="retrieval.memory_path")
+                             key="search.update_memory")
     victim = build_victim(config)
     space = build_space(config)
     weights = build_weights(config)
@@ -310,6 +311,14 @@ def collect_pair_stats(log_dir: Path) -> list[_PairStats]:
         records = read_trial_log(path)
         if not records:
             continue
+        for ordinal, record in enumerate(records, start=1):
+            if not record.keys() >= _TRIAL_KEYS:
+                missing = next(k for k in TRIAL_FIELDS if k not in record)
+                raise RecordFormatError(str(path), record_line(path, ordinal),
+                                        f"trial record lacks {missing!r}")
+        if all(r["phase"] != "scout" for r in records):
+            raise RecordFormatError(str(path), record_line(path, 1),
+                                    "trial log contains no scout records")
         stats.append(_pair_stats(match["task"], match["family"], match["method"], records))
     if not stats:
         raise RunConfigError(f"no trial logs found under {log_dir}")

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .bench import (run_bench_mode, run_memory_mode, run_oracle_mode,
                     run_report_mode, run_search_mode, run_theory_mode)
-from .runconfig import MODES, RunConfig, RunConfigError, parse_run_config
+from .runconfig import MODES, RunConfig, RunConfigError, _line_map, parse_run_config
+from .serial import RecordFormatError
 
 _HANDLERS = {
     "search": run_search_mode,
@@ -43,13 +44,21 @@ def run(argv=None) -> int:
             raise RunConfigError("seed must be >= 0", key="--seed")
         config = replace(config, seed=args.seed)
     out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
-    return _HANDLERS[args.mode](config, out_dir)
+    try:
+        return _HANDLERS[args.mode](config, out_dir)
+    except RunConfigError as exc:
+        # a mode's rule names its key; only the file knows the key's line
+        lines = _line_map(Path(args.config).read_text(encoding="utf-8"))
+        line = lines.get(tuple(exc.key.split(".")))
+        if line is None:
+            raise
+        raise RunConfigError(exc.message, exc.key, line) from None
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except RunConfigError as exc:
+    except (RunConfigError, RecordFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

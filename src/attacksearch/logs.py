@@ -108,8 +108,3 @@ def search_summary_record(history: SearchHistory, space: ConfigSpace,
         "configs_evaluated": len(history.evaluated),
         "virtual_seconds": history.virtual_seconds,
     }
-
-
-__all__ = ["TRIAL_FIELDS", "TrialCurve", "ThresholdOutcome", "best_so_far_curve",
-           "read_trial_log", "search_summary_record", "threshold_outcome",
-           "trial_records"]

@@ -32,6 +32,7 @@ class RunConfigError(ValueError):
     def __init__(self, message: str, key: str = "", line: int | None = None):
         location = f" (key {key!r}" + (f", line {line})" if line else ")") if key else ""
         super().__init__(message + location)
+        self.message = message
         self.key = key
         self.line = line
 

@@ -46,12 +46,9 @@ class UtilityMap:
         return float(self.utilities.max())
 
     @property
-    def argmax_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.utilities == self.utilities.max()))
-
-    @property
     def best_index(self) -> int:
-        return self.argmax_indices[0]
+        """The lowest index of the maximal utility."""
+        return int(np.argmax(self.utilities))
 
     @property
     def best_config(self) -> AttackConfig:
@@ -62,14 +59,6 @@ class UtilityMap:
 class EffectiveSet:
     eta: float
     indices: tuple[int, ...]
-    mask: np.ndarray
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask[index])
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 # One-sided z of each Monte Carlo hitting-time verdict: NormalDist().inv_cdf(
@@ -97,6 +86,24 @@ def _within(name: str, deviation: float, tolerance: float) -> CheckRow:
     return CheckRow(name, deviation, tolerance, None, None, deviation <= tolerance)
 
 
+def _estimated_map(victim, space: ConfigSpace, baseline: CleanBaseline,
+                   weights: UtilityWeights, episodes: int, stream: Stream) -> UtilityMap:
+    """Every configuration estimated once from `episodes` episodes; config i
+    draws from `stream.child(i)`."""
+    n = space.size
+    u = np.empty(n)
+    d = np.empty(n)
+    f = np.empty(n)
+    t = np.empty(n)
+    v = np.empty(n)
+    for i, config in enumerate(space.configs):
+        report = estimate_utility(victim, config, episodes, baseline,
+                                  stream.child(i).generator(), weights)
+        u[i], d[i], f[i] = report.utility, report.drop, report.flip
+        t[i], v[i] = report.runtime, report.variability
+    return UtilityMap(space, u, d, f, t, v)
+
+
 def brute_force_utility(victim, space: ConfigSpace, baseline: CleanBaseline,
                         weights: UtilityWeights = DEFAULT_WEIGHTS,
                         episodes: int | None = None, seed: int = 0) -> UtilityMap:
@@ -109,19 +116,7 @@ def brute_force_utility(victim, space: ConfigSpace, baseline: CleanBaseline,
         if not victim.is_deterministic:
             raise ValueError("victim is not deterministic; supply episodes for averaging")
         episodes = 1
-    stream = Stream(seed, (7,))
-    n = space.size
-    u = np.empty(n)
-    d = np.empty(n)
-    f = np.empty(n)
-    t = np.empty(n)
-    v = np.empty(n)
-    for i, config in enumerate(space.configs):
-        report = estimate_utility(victim, config, episodes, baseline,
-                                  stream.child(i).generator(), weights, phase="scout")
-        u[i], d[i], f[i] = report.utility, report.drop, report.flip
-        t[i], v[i] = report.runtime, report.variability
-    return UtilityMap(space, u, d, f, t, v)
+    return _estimated_map(victim, space, baseline, weights, episodes, Stream(seed, (7,)))
 
 
 def brute_force_utility_reference(victim: ResponseSurfaceVictim, space: ConfigSpace,
@@ -184,8 +179,7 @@ def effective_set(umap: UtilityMap, eta: float) -> EffectiveSet:
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     mask = umap.utilities >= umap.u_star - eta
-    return EffectiveSet(eta=eta, indices=tuple(int(i) for i in np.flatnonzero(mask)),
-                        mask=mask)
+    return EffectiveSet(eta=eta, indices=tuple(int(i) for i in np.flatnonzero(mask)))
 
 
 def gibbs_reference(umap: UtilityMap, beta: float) -> ProposalDistribution:
@@ -307,22 +301,10 @@ def hoeffding_bound(m: int, delta: float, space_size: int, r_min: float,
     return (r_max - r_min) / (abs(j_clean) + 1.0) * root + w_flip * root
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    zeta: float
-    trials: int
-    deviation_frequency: float       # trials where max |U_hat - U| <= zeta
-    implication_frequency: float     # trials where empirical eta-optimal => population-ok
-    implication_violations: int      # among covered trials (must be zero)
-    required: float                  # 1 - delta minus 3 binomial SEs
-    max_deviation_seen: float
-    passed: bool
-
-
 def coverage_experiment(victim: ResponseSurfaceVictim, space: ConfigSpace,
                         m: int, delta: float, trials: int,
                         rng_seed: int, eta: float = 0.05,
-                        weights: UtilityWeights = DEFAULT_WEIGHTS) -> CoverageReport:
+                        weights: UtilityWeights = DEFAULT_WEIGHTS) -> list[CheckRow]:
     """Check the uniform deviation event and the near-optimality implication.
 
     Requires a victim with hard return bounds. Each trial estimates the
@@ -330,6 +312,10 @@ def coverage_experiment(victim: ResponseSurfaceVictim, space: ConfigSpace,
     estimates deviate from the population utility by at most zeta and
     (b) that every empirically eta-optimal configuration is population
     (eta + 2*zeta)-optimal.
+
+    Returns two verdict rows: zeta with the frequency of (a) against
+    1 - delta less three binomial SEs, and the covered trials that break
+    (b) against 0.
     """
     if not hasattr(victim, "return_bounds"):
         raise ValueError("coverage experiment requires a victim with bounded returns")
@@ -338,25 +324,18 @@ def coverage_experiment(victim: ResponseSurfaceVictim, space: ConfigSpace,
     r_min, r_max = victim.return_bounds(space.configs)
     zeta = hoeffding_bound(m, delta, space.size, r_min, r_max, victim.j_clean,
                            weights.flip)
-    pop = population_utility_map(victim, space, weights)
-    pop_u = pop.utilities
-    pop_star = pop.u_star
+    pop_u = population_utility_map(victim, space, weights).utilities
+    pop_star = float(pop_u.max())
     baseline = CleanBaseline(j_clean=victim.j_clean)
 
     covered = 0
     implied = 0
     violations = 0
-    max_dev_seen = 0.0
     stream = Stream(rng_seed, (404,))
     for trial in range(trials):
-        estimates = np.empty(space.size)
-        for i, config in enumerate(space.configs):
-            report = estimate_utility(victim, config, m, baseline,
-                                      stream.child(trial, i).generator(), weights)
-            estimates[i] = report.utility
-        max_dev = float(np.abs(estimates - pop_u).max())
-        max_dev_seen = max(max_dev_seen, max_dev)
-        event_a = max_dev <= zeta
+        estimates = _estimated_map(victim, space, baseline, weights, m,
+                                   stream.child(trial)).utilities
+        event_a = float(np.abs(estimates - pop_u).max()) <= zeta
         near_opt = estimates >= estimates.max() - eta
         event_b = bool(np.all(pop_u[near_opt] >= pop_star - eta - 2.0 * zeta))
         covered += event_a
@@ -368,10 +347,11 @@ def coverage_experiment(victim: ResponseSurfaceVictim, space: ConfigSpace,
     se = math.sqrt(max(freq_a * (1.0 - freq_a), 1e-12) / trials)
     required = (1.0 - delta) - 3.0 * se
     passed = freq_a >= required and freq_b >= required and violations == 0
-    return CoverageReport(zeta=zeta, trials=trials, deviation_frequency=freq_a,
-                          implication_frequency=freq_b,
-                          implication_violations=violations, required=required,
-                          max_deviation_seen=max_dev_seen, passed=passed)
+    return [
+        CheckRow("hoeffding-uniform-coverage", zeta, required, freq_a, None, passed),
+        CheckRow("hoeffding-eta-optimal-implication", float(violations), 0.0, freq_b,
+                 None, violations == 0),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -485,18 +465,9 @@ def _coverage_space() -> ConfigSpace:
 
 
 def _coverage_checks(seed: int, section, weights: UtilityWeights) -> list[CheckRow]:
-    victim = surface_task("coverage-task", seed + 17, noise_scale=1.0)
-    report = coverage_experiment(victim, _coverage_space(), section.coverage_episodes,
-                                 section.delta, section.coverage_trials, seed,
-                                 section.eta, weights)
-    return [
-        CheckRow("hoeffding-uniform-coverage", report.zeta, report.required,
-                 report.deviation_frequency, None, report.passed),
-        CheckRow("hoeffding-eta-optimal-implication",
-                 float(report.implication_violations), 0.0,
-                 report.implication_frequency, None,
-                 report.implication_violations == 0),
-    ]
+    return coverage_experiment(surface_task("coverage-task", seed + 17, noise_scale=1.0),
+                               _coverage_space(), section.coverage_episodes, section.delta,
+                               section.coverage_trials, seed, section.eta, weights)
 
 
 def theory_checks(seed: int, section, weights: UtilityWeights) -> list[CheckRow]:

@@ -45,6 +45,8 @@ from .configspace import EPSILON_RANGES, STEPS_RANGES, AllocationRule, AttackCon
 from .rngutil import Stream
 
 THETA_DIM = 8
+# Spread of a family task's theta around its cluster centre.
+TASK_JITTER = 0.02
 
 # Each family's default epsilon and steps ranges as float (lo, hi - lo)
 # pairs, built once: the response surface reads them on every evaluation.
@@ -261,8 +263,7 @@ def surface_task(task_id: str, task_seed: int, noise_scale: float = 0.0,
 
 
 def surface_task_family(family_seed: int, n_tasks: int, noise_scale: float = 0.0,
-                        n_clusters: int = 5, jitter: float = 0.02,
-                        task_prefix: str = "task", horizon: int = 10,
+                        n_clusters: int = 5, task_prefix: str = "task", horizon: int = 10,
                         action_count: int = 6) -> list[ResponseSurfaceVictim]:
     """Tasks drawn around shared cluster centers.
 
@@ -274,7 +275,7 @@ def surface_task_family(family_seed: int, n_tasks: int, noise_scale: float = 0.0
     tasks = []
     for i in range(n_tasks):
         center = centers[i % n_clusters]
-        theta = np.clip(center + rng.normal(0.0, jitter, size=THETA_DIM), 0.0, 1.0)
+        theta = np.clip(center + rng.normal(0.0, TASK_JITTER, size=THETA_DIM), 0.0, 1.0)
         tasks.append(ResponseSurfaceVictim(
             f"{task_prefix}-{i:03d}", tuple(theta.tolist()),
             noise_scale, horizon, action_count))
@@ -296,10 +297,10 @@ class LinearWorldModelVictim:
     grid_size: int = 5
     horizon: int = 12
     weight_seed: int = 0
-    gradient_cost_seconds: float = 0.05
-    step_cost_seconds: float = 0.01
 
     action_count: ClassVar[int] = 4    # the gridworld's four moves
+    gradient_cost_seconds: ClassVar[float] = 0.05   # virtual seconds per loss evaluation
+    step_cost_seconds: ClassVar[float] = 0.01       # virtual seconds per episode step
 
     def __post_init__(self) -> None:
         if self.grid_size < 2 or self.obs_dim < 4 or self.latent_dim < 2:
@@ -492,11 +493,3 @@ class LinearWorldModelVictim:
             elapsed_virtual=virtual,
             trajectories=tuple(traces),
         )
-
-
-# Re-exported here because the observation contract lives with the victims.
-__all__ = [
-    "EpisodeTrace", "LinearWorldModelVictim", "ResponseSurfaceVictim",
-    "RolloutBatch", "apply_perturbation", "surface_task",
-    "surface_task_family", "attacks",
-]

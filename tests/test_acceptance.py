@@ -208,13 +208,13 @@ def test_criterion_08_hoeffding_coverage():
                          AttackFamily.APGD_DLR: (4, 8, 12, 16)})
     assert space.size == 96
     victim = surface_task("coverage", 80, noise_scale=1.0)
-    report = coverage_experiment(victim, space, m=50, delta=0.1, trials=500,
-                                 rng_seed=8, eta=0.05)
-    assert report.deviation_frequency >= report.required
-    assert report.implication_violations == 0
+    coverage, implication = coverage_experiment(victim, space, m=50, delta=0.1, trials=500,
+                                                rng_seed=8, eta=0.05)
+    assert coverage.empirical >= coverage.bound
+    assert implication.value == 0.0
     report_line(8, "hoeffding-coverage", time.perf_counter() - start, 300.0,
-                f"coverage {report.deviation_frequency:.3f} >= {report.required:.3f}, "
-                f"zeta {report.zeta:.4f}")
+                f"coverage {coverage.empirical:.3f} >= {coverage.bound:.3f}, "
+                f"zeta {coverage.value:.4f}")
 
 
 @pytest.fixture(scope="module")

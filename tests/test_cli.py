@@ -4,13 +4,19 @@ import pytest
 
 from attacksearch.cli import main, run
 from attacksearch.memory import AttackMemory
-from attacksearch.serial import read_records
+from attacksearch.serial import dump_record, read_records
 
 
 def write_config(tmp_path, body) -> Path:
     path = tmp_path / "run.yaml"
     path.write_text(body)
     return path
+
+
+def line_of(body: str, text: str) -> int:
+    """1-based line of the first line of `body` that starts with `text`."""
+    return next(i for i, line in enumerate(body.splitlines(), start=1)
+                if line.lstrip().startswith(text))
 
 
 SMALL_SEARCH = """
@@ -89,7 +95,8 @@ def test_oracle_refuses_noisy_victim(tmp_path):
     body = SMALL_SEARCH.format(out=out).replace("task_seed: 5",
                                                 "task_seed: 5\n  noise: 0.5")
     cfg = write_config(tmp_path, body)
-    with pytest.raises(ValueError, match="deterministic"):
+    # the key is not in the file, so the error names no line
+    with pytest.raises(ValueError, match=r"deterministic.*\(key 'oracle\.episodes'\)$"):
         run(["oracle", "--config", str(cfg)])
 
 
@@ -111,10 +118,12 @@ oracle:
 
 def test_oracle_refuses_linear_victim_without_episodes(tmp_path, capsys):
     out = tmp_path / "oracle"
-    cfg = write_config(tmp_path, LINEAR_ORACLE.format(out=out, episodes=0))
+    body = LINEAR_ORACLE.format(out=out, episodes=0)
+    cfg = write_config(tmp_path, body)
     assert main(["oracle", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "deterministic" in err and "oracle.episodes" in err
+    assert "deterministic" in err
+    assert f"(key 'oracle.episodes', line {line_of(body, 'episodes:')})" in err
     assert not out.exists()
 
 
@@ -150,18 +159,23 @@ def test_memory_mode_requires_path(tmp_path):
 
 def test_search_update_memory_without_path_fails_before_searching(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, SMALL_SEARCH.format(out=out) + "  update_memory: true\n")
+    body = SMALL_SEARCH.format(out=out) + "  update_memory: true\n"
+    cfg = write_config(tmp_path, body)
     assert main(["search", "--config", str(cfg)]) == 2
-    assert "retrieval.memory_path" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "retrieval.memory_path" in err
+    assert f"(key 'search.update_memory', line {line_of(body, 'update_memory:')})" in err
     assert not out.exists()
 
 
-def test_search_with_missing_memory_file_fails(tmp_path):
+def test_search_with_missing_memory_file_fails(tmp_path, capsys):
     out = tmp_path / "out"
     body = SMALL_SEARCH.format(out=out) + "retrieval:\n  memory_path: %s\n" % (
         tmp_path / "nope.jsonl")
     cfg = write_config(tmp_path, body)
     assert main(["search", "--config", str(cfg)]) == 2
+    line = line_of(body, "memory_path:")
+    assert f"(key 'retrieval.memory_path', line {line})" in capsys.readouterr().err
 
 
 BENCH = """
@@ -194,13 +208,50 @@ def bench_setup(tmp_path):
 @pytest.mark.parametrize("mode", ["memory", "bench"])
 def test_task_family_modes_refuse_linear_victim(tmp_path, capsys, mode):
     memory_path = tmp_path / "memory.jsonl"
-    cfg = write_config(tmp_path, BENCH.format(out=tmp_path / "out", memory=memory_path)
-                       + "victim:\n  kind: linear\n")
+    body = (BENCH.format(out=tmp_path / "out", memory=memory_path)
+            + "victim:\n  kind: linear\n")
+    cfg = write_config(tmp_path, body)
     assert main([mode, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"{mode} mode generates response-surface task families" in err
-    assert "victim.kind" in err
+    assert f"(key 'victim.kind', line {line_of(body, 'kind:')})" in err
     assert not memory_path.exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["search", "bench"])
+def test_corrupt_memory_file_names_file_and_line(tmp_path, capsys, mode):
+    memory_path = tmp_path / "memory.jsonl"
+    memory_path.write_text("not json\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, BENCH.format(out=out, memory=memory_path))
+    assert main([mode, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {memory_path}:1: ")
+    assert not out.exists()
+
+
+def trial_line(phase="scout", drop=()) -> str:
+    record = {"round": 0, "phase": phase, "config": "c1", "D": 0.5, "F": 0.0,
+              "T": 1.0, "V": 0.0, "U": 0.5, "episodes": 1, "seed": 0}
+    return dump_record({k: v for k, v in record.items() if k not in drop})
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    ([trial_line(), "", trial_line(drop=("U",))], 3),   # a record without "U"
+    ([trial_line("confirm")], 1),                        # only confirm records
+    ([trial_line(), "{oops"], 2),                        # a line that is not JSON
+], ids=["missing-U", "no-scout", "not-json"])
+def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    log = logs / "trials__task-000__fab__random.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, f"out_dir: '{logs}'\n")
+    rep = tmp_path / "rep"
+    assert main(["report", "--config", str(cfg), "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:{bad_line}: ")
+    assert not rep.exists()
 
 
 def test_memory_mode_builds_records(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from attacksearch import proposal, theory
 from attacksearch.configspace import (AllocationRule, AttackFamily, ConfigSpace,
                                       FamilyGrid, default_config_space)
-from attacksearch.evaluation import DEFAULT_WEIGHTS
+from attacksearch.evaluation import DEFAULT_WEIGHTS, CleanBaseline
 from attacksearch.proposal import ProposalDistribution
 from attacksearch.runconfig import TheorySpec
 from attacksearch.search import SearchParams, run_search
@@ -44,7 +44,7 @@ def test_brute_force_toy_space(surface_victim, surface_baseline):
     umap = brute_force_utility(surface_victim, space, surface_baseline)
     assert umap.utilities.shape == (24,)
     assert umap.u_star == umap.utilities.max()
-    assert umap.best_index in umap.argmax_indices
+    assert umap.best_index in np.flatnonzero(umap.utilities == umap.utilities.max())
 
 
 def test_brute_force_matches_independent_nested_loop(surface_victim, surface_baseline):
@@ -78,13 +78,13 @@ def test_brute_force_agrees_with_exhaustive_search(surface_victim, surface_basel
 def test_effective_set_zero_eta_is_argmax(rng):
     umap = random_umap(rng)
     es = effective_set(umap, 0.0)
-    assert set(es.indices) == set(umap.argmax_indices)
+    assert set(es.indices) == set(np.flatnonzero(umap.utilities == umap.utilities.max()))
 
 
 def test_effective_set_full_tolerance(rng):
     umap = random_umap(rng)
     eta = umap.u_star - umap.utilities.min()
-    assert effective_set(umap, eta).size == umap.utilities.size
+    assert len(effective_set(umap, eta).indices) == umap.utilities.size
 
 
 def test_effective_set_matches_filter_oracle(rng):
@@ -342,21 +342,25 @@ def test_population_map_noiseless_matches_brute_force(surface_victim,
 
 def test_coverage_noiseless_exact(surface_victim):
     space = tiny_space()
-    report = coverage_experiment(surface_victim, space, m=3, delta=0.1, trials=5,
-                                 rng_seed=0)
-    assert report.max_deviation_seen <= 1e-10
-    assert report.deviation_frequency == 1.0
-    assert report.implication_violations == 0
-    assert report.passed
+    estimated = brute_force_utility(surface_victim, space,
+                                    CleanBaseline(j_clean=surface_victim.j_clean),
+                                    episodes=3)
+    population = population_utility_map(surface_victim, space)
+    assert np.abs(estimated.utilities - population.utilities).max() <= 1e-10
+    rows = coverage_experiment(surface_victim, space, m=3, delta=0.1, trials=5,
+                               rng_seed=0)
+    assert rows[0].empirical == 1.0
+    assert rows[1].value == 0.0
+    assert all(row.passed for row in rows)
 
 
 def test_coverage_bounded_noise(noisy_surface_victim):
     space = tiny_space()
-    report = coverage_experiment(noisy_surface_victim, space, m=20, delta=0.1,
-                                 trials=60, rng_seed=1)
-    assert report.deviation_frequency >= report.required
-    assert report.implication_violations == 0
-    assert report.passed
+    rows = coverage_experiment(noisy_surface_victim, space, m=20, delta=0.1,
+                               trials=60, rng_seed=1)
+    assert rows[0].empirical >= rows[0].bound
+    assert rows[1].value == 0.0
+    assert all(row.passed for row in rows)
 
 
 def test_coverage_requires_bounded_victim(linear_victim):
