@@ -89,6 +89,26 @@ search:
   confirm_top_k: 1
   dump_proposals: true
 """),
+    "search-linear-grid": (("search",), """seed: 7
+out_dir: out
+victim:
+  kind: linear
+  horizon: 6
+  obs_dim: 16
+  latent_dim: 4
+  baseline_episodes: 2
+space:
+  families: [apgd-ce, apgd-dlr, fab, physcond-wma]
+  epsilons: {apgd-ce: [0, 8], apgd-dlr: [0, 8], fab: [0, 8], physcond-wma: [0, 8]}
+  steps: {apgd-ce: [3, 6], apgd-dlr: [3, 6], fab: [3, 6], physcond-wma: [3, 6]}
+  restarts: [1, 2]
+search:
+  budget: 40
+  batch: 8
+  scout_episodes: 2
+  confirm_episodes: 3
+  confirm_top_k: 2
+"""),
     "memory-bench": (("memory", "bench"), """seed: 1
 out_dir: out
 """ + SPACE + """search:
