@@ -60,11 +60,18 @@ def _write_text(path: Path, text: str) -> None:
 # ----------------------------------------------------------------------
 
 
+def _refuse_directory(path: str) -> None:
+    if Path(path).is_dir():
+        raise RunConfigError(f"memory path is a directory, not a file: {path}",
+                             key="retrieval.memory_path")
+
+
 def _load_memory(config: RunConfig) -> AttackMemory | None:
     """The configured attack memory, or None when retrieval is disabled."""
     path = config.retrieval.memory_path
     if not path:
         return None
+    _refuse_directory(path)
     if not Path(path).exists():
         raise RunConfigError(f"memory file not found: {path}", key="retrieval.memory_path")
     return AttackMemory.load(path)
@@ -208,6 +215,7 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
     if not path:
         raise RunConfigError("memory mode requires retrieval.memory_path",
                              key="retrieval.memory_path")
+    _refuse_directory(path)
     tasks = _surface_tasks(config, config.memory.family_seed, config.memory.tasks,
                            config.victim.noise, task_prefix="mem")
     space = build_space(config)

@@ -53,9 +53,13 @@ def write_records(path, records) -> None:
 
 def read_records(path) -> list[dict[str, Any]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise RecordFormatError(str(path), number,
+                                        f"not UTF-8 text: {exc.reason}") from None
             if not line:
                 continue
             try:

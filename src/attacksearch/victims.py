@@ -18,10 +18,13 @@ Two built-ins:
   the policy reads it. Perturbations are synthesized per decision point,
   projected to the epsilon/255 ball and the observation box, and the
   environment advances with the attacked action while its dynamics stay
-  untouched. A decision point whose outcome depends only on its cell is
-  synthesized once per rollout and replayed after that; for physcond-wma
-  the key also holds the previous latent and action, and square still
-  draws from its own per-step stream every time. The virtual clock
+  untouched. Each rollout builds a grid of every cell's decision point:
+  clean, or attacked in one row-batched synthesis call for the families
+  whose synthesis reads only the cell (apgd-ce, apgd-dlr, fab).
+  physcond-wma synthesizes per step from the previous latent and action,
+  memoized within the call, and square per step from its own stream. An
+  episode that reads no step rng depends only on its start cell, so a
+  repeated start cell replays the stored episode. The virtual clock
   charges every decision point, computed or replayed.
 
 Both victims are immutable parameter records plus pure rollout functions; given
@@ -40,7 +43,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import attacks
-from .attacks import LinearAttackSurface, _softmax, apply_perturbation, synthesize_delta
+from .attacks import (LinearAttackSurface, _softmax, apply_perturbation, rows_matvec,
+                      synthesize_delta)
 from .configspace import EPSILON_RANGES, STEPS_RANGES, AllocationRule, AttackConfig
 from .rngutil import Stream
 
@@ -365,6 +369,15 @@ class LinearWorldModelVictim:
         margin = float(probs[order[0]] - probs[order[1]])
         return int(order[0]), margin, latent
 
+    def _policy_rows(self, obs: np.ndarray) -> tuple[list, list, np.ndarray]:
+        """`_policy` of each row of `obs` (n, d), bit for bit."""
+        latent = rows_matvec(self._weights["encoder"], obs)
+        probs = _softmax(rows_matvec(self._weights["policy"], latent))
+        order = np.argsort(probs, axis=1)[:, ::-1]
+        rows = np.arange(obs.shape[0])
+        margin = probs[rows, order[:, 0]] - probs[rows, order[:, 1]]
+        return order[:, 0].tolist(), margin.tolist(), latent
+
     def _move(self, cell: int, action: int) -> int:
         """Grid move: up, down, left or right, clamped at the walls."""
         n = self.grid_size
@@ -399,23 +412,41 @@ class LinearWorldModelVictim:
         frac = _clip01(margin)
         return math.ceil(1 + (config.steps - 1) * frac)
 
-    def _decision_point(self, config: AttackConfig | None, cell: int,
-                        rng: np.random.Generator | None, prev_latent: np.ndarray | None,
-                        prev_action: int | None) -> tuple:
-        """(obs, clean action, perturbed obs, action, margin, latent,
-        predicted next latent, loss evals) at `cell`; clean without a config."""
-        obs = self.observe(cell)
-        clean_action, margin, latent = self._policy(obs)
-        action, perturbed, loss_evals = clean_action, None, 0
+    def _grid(self, config: AttackConfig | None) -> list[tuple]:
+        """Every cell's decision point: (obs, clean action, perturbed obs,
+        action, margin, latent, predicted next latent, loss evals).
+
+        Without a config the points are clean and carry no perturbation. A
+        config whose synthesis reads neither the step rng nor the previous
+        step is synthesized for all cells in one batched call.
+        """
+        obs = np.ascontiguousarray(self._weights["render"].T)
+        clean_actions, margins, latents = self._policy_rows(obs)
+        actions, perturbed, evals = clean_actions, [None] * self.n_cells, [0] * self.n_cells
         if config is not None:
-            result = synthesize_delta(self.attack_surface, obs, clean_action, config,
-                                      self.effective_steps(config, margin), rng,
-                                      prev_latent, prev_action)
+            steps = [self.effective_steps(config, m) for m in margins]
+            result = synthesize_delta(self.attack_surface, obs, clean_actions, config,
+                                      steps, None)
             perturbed = apply_perturbation(obs, result.delta, config.epsilon)
-            action, margin, latent = self._policy(perturbed)
-            loss_evals = result.loss_evals
+            actions, margins, latents = self._policy_rows(perturbed)
+            evals = result.row_evals.tolist()
+        surface = self.attack_surface
+        preds = rows_matvec(surface.dynamics, latents) + surface.action_in[:, actions].T
+        return list(zip(obs, clean_actions, perturbed, actions, margins, latents, preds, evals))
+
+    def _synthesized_point(self, config: AttackConfig, clean: tuple,
+                           rng: np.random.Generator | None,
+                           prev_latent: np.ndarray | None, prev_action: int | None) -> tuple:
+        """`clean`'s decision point attacked under a config that reads the
+        step rng or the previous step, in the layout of `_grid`."""
+        obs, clean_action, _, _, margin, *_ = clean
+        result = synthesize_delta(self.attack_surface, obs, clean_action, config,
+                                  self.effective_steps(config, margin), rng,
+                                  prev_latent, prev_action)
+        perturbed = apply_perturbation(obs, result.delta, config.epsilon)
+        action, margin, latent = self._policy(perturbed)
         pred = self.attack_surface.predicted_latent(latent, action)
-        return obs, clean_action, perturbed, action, margin, latent, pred, loss_evals
+        return obs, clean_action, perturbed, action, margin, latent, pred, result.loss_evals
 
     def clean_rollout(self, episodes: int, rng: np.random.Generator) -> RolloutBatch:
         return self._rollout(None, episodes, rng)
@@ -428,64 +459,58 @@ class LinearWorldModelVictim:
                  rng: np.random.Generator) -> RolloutBatch:
         """The episode loop; with a config, each observation is attacked first.
 
-        An attacked step observes the cell and reads the clean policy once,
-        synthesizes a perturbation, and records the policy's readout of the
-        perturbed observation. A step whose outcome depends only on its cell
-        is computed once per call and replayed from a memo local to this
-        call; for physcond-wma the key also holds the previous latent and
-        action. Square draws from the row's own stream (ep, t, seed) and is
-        never replayed. Every step is charged to the virtual clock.
+        A grid built once per call holds every cell's decision point: clean,
+        or, for a config whose synthesis reads neither the step rng nor the
+        previous step (apgd-ce, apgd-dlr, fab), attacked by one batched
+        `synthesize_delta` call over all cells. Otherwise each step starts
+        from the clean grid and synthesizes on its own: square from the
+        row's stream (ep, t, seed), physcond-wma from the previous latent
+        and action, memoized on (cell, previous action, previous latent)
+        because its episodes revisit the same states. An episode that reads
+        no step rng is a pure function of its start cell, so a repeated start
+        cell replays the stored episode. Nothing outlives the call. The
+        virtual clock charges every decision point, computed or replayed, in
+        episode order.
         """
         _require_episodes(episodes)
         start = time.perf_counter()
         attacked = config is not None
         reads_rng = attacked and attacks.reads_step_rng(config)
-        reads_previous = attacked and attacks.reads_previous_step(config)
+        per_step = reads_rng or (attacked and attacks.reads_previous_step(config))
+        grid = self._grid(config if attacked and not per_step else None)
         root = int(rng.integers(2 ** 63))
-        memo: dict = {}
+        memo: dict[tuple, tuple] = {}
+
+        def point(ep: int, t: int, cell: int, latent: np.ndarray | None,
+                  action: int | None) -> tuple:
+            if not per_step:
+                return grid[cell]
+            if reads_rng:
+                step_rng = Stream(root, (ep, t, config.seed)).generator()
+                return self._synthesized_point(config, grid[cell], step_rng, latent, action)
+            key = (cell, action, None if latent is None else latent.tobytes())
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = self._synthesized_point(config, grid[cell], None,
+                                                            latent, action)
+            return found
+
+        stored: dict[int, tuple] = {}
         traces, returns, flips = [], [], []
         virtual = 0.0
         for ep in range(episodes):
             cell = int(Stream(root, (ep,)).generator().integers(self.n_cells))
-            latents, preds, actions, rewards, margins = [], [], [], [], []
-            obs_rows, pert_rows = [], []
-            # the previous step's readout until this step's replaces it
-            latent: np.ndarray | None = None
-            action: int | None = None
-            for t in range(self.horizon):
-                if reads_rng:
-                    key = None
-                elif reads_previous:
-                    key = (cell, action, None if latent is None else latent.tobytes())
-                else:
-                    key = cell
-                point = memo.get(key)
-                if point is None:
-                    step_rng = Stream(root, (ep, t, config.seed)).generator() if reads_rng else None
-                    point = self._decision_point(config, cell, step_rng, latent, action)
-                    if key is not None:
-                        memo[key] = point
-                obs, clean_action, perturbed, action, margin, latent, pred, loss_evals = point
-                if attacked:
-                    flips.append(action != clean_action)
-                    obs_rows.append(obs)
-                    pert_rows.append(perturbed)
-                cell, reward, done = self.transition(cell, action)
-                latents.append(latent)
-                preds.append(pred)
-                actions.append(action)
-                rewards.append(reward)
-                margins.append(margin)
-                virtual += self.step_cost_seconds + self.gradient_cost_seconds * loss_evals
-                if done:
-                    break
-            traces.append(EpisodeTrace(
-                latents=np.array(latents), predicted_next=np.array(preds),
-                actions=np.array(actions), rewards=np.array(rewards),
-                margins=np.array(margins),
-                observations=np.array(obs_rows) if attacked else None,
-                perturbed=np.array(pert_rows) if attacked else None))
-            returns.append(math.fsum(rewards))
+            episode = stored.get(cell)
+            if episode is None:
+                episode = self._episode(ep, cell, point, attacked)
+                if not reads_rng:
+                    stored[cell] = episode
+            trace, episode_return, episode_flips, charges = episode
+            traces.append(trace)
+            returns.append(episode_return)
+            flips.extend(episode_flips)
+            for charge in charges:
+                virtual += charge
         return RolloutBatch(
             returns=np.array(returns, dtype=float),
             flips=np.array(flips, dtype=bool) if attacked else None,
@@ -493,3 +518,36 @@ class LinearWorldModelVictim:
             elapsed_virtual=virtual,
             trajectories=tuple(traces),
         )
+
+    def _episode(self, ep: int, cell: int, point, attacked: bool) -> tuple:
+        """(trace, return, flips, clock charges) of episode `ep` from `cell`;
+        `point(ep, t, cell, previous latent, previous action)` is the step's
+        decision point."""
+        latents, preds, actions, rewards, margins = [], [], [], [], []
+        obs_rows, pert_rows, flips, charges = [], [], [], []
+        # the previous step's readout until this step's replaces it
+        latent: np.ndarray | None = None
+        action: int | None = None
+        for t in range(self.horizon):
+            obs, clean_action, perturbed, action, margin, latent, pred, loss_evals = point(
+                ep, t, cell, latent, action)
+            if attacked:
+                flips.append(action != clean_action)
+                obs_rows.append(obs)
+                pert_rows.append(perturbed)
+            cell, reward, done = self.transition(cell, action)
+            latents.append(latent)
+            preds.append(pred)
+            actions.append(action)
+            rewards.append(reward)
+            margins.append(margin)
+            charges.append(self.step_cost_seconds + self.gradient_cost_seconds * loss_evals)
+            if done:
+                break
+        trace = EpisodeTrace(
+            latents=np.array(latents), predicted_next=np.array(preds),
+            actions=np.array(actions), rewards=np.array(rewards),
+            margins=np.array(margins),
+            observations=np.array(obs_rows) if attacked else None,
+            perturbed=np.array(pert_rows) if attacked else None)
+        return trace, math.fsum(rewards), flips, charges

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from attacksearch.attacks import (LinearAttackSurface, apply_perturbation, ce_grad,
-                                  ce_loss, consistency_grad, consistency_loss,
-                                  dlr_denominator, dlr_grad, dlr_loss, margin_loss,
-                                  project_obs, synthesize_delta)
+                                  ce_loss, ce_point, ce_rows, consistency_grad,
+                                  consistency_loss, dlr_denominator, dlr_denominator_rows,
+                                  dlr_grad, dlr_loss, dlr_rows, margin_loss, margin_rows,
+                                  physcond_point, project_obs, synthesize_delta)
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily)
 from attacksearch.rngutil import Stream
 
@@ -111,6 +112,43 @@ def test_analytic_gradients_match_finite_differences(loss_name, rng):
                     + 0.5 * consistency_grad(surface, obs, target))
         worst = max(worst, relative_error(grad, central_difference(fn, obs)))
     assert worst < 1e-6
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 16, 6), (4, 64, 12), (3, 16, 4)])
+def test_fused_objectives_match_reference_bit_for_bit(shape, rng):
+    """Synthesis runs the fused objectives; the references are what the
+    finite-difference test above checks."""
+    n_actions, d, k = shape
+    surface = make_surface(seed=d, n_actions=n_actions, d=d, k=k)
+    x = rng.uniform(-0.5, 0.5, size=(30, d))
+    actions = rng.integers(0, n_actions, size=30)
+    denom = dlr_denominator_rows(surface, x)
+    ce, ce_g = ce_rows(surface, x, actions)
+    dlr, dlr_g = dlr_rows(surface, x, actions, denom)
+    assert ce_rows(surface, x, actions, False)[1] is None
+    assert same_bits(ce_rows(surface, x, actions, False)[0], ce)
+    assert same_bits(dlr_rows(surface, x, actions, denom, False)[0], dlr)
+    margins = margin_rows(surface, x, actions)
+    for i, (row, action) in enumerate(zip(x, actions.tolist())):
+        assert same_bits(ce[i], ce_loss(surface, row, action))
+        assert same_bits(ce_g[i], ce_grad(surface, row, action))
+        assert same_bits(ce_point(surface, row, action), ce_loss(surface, row, action))
+        assert same_bits(denom[i], dlr_denominator(surface, row))
+        assert same_bits(dlr[i], dlr_loss(surface, row, action, denom[i]))
+        assert same_bits(dlr_g[i], dlr_grad(surface, row, action, denom[i]))
+        assert same_bits(margins[i], margin_loss(surface, row, action))
+        z = rng.normal(size=k)
+        loss, grad = physcond_point(surface, row, action, z)
+        assert same_bits(loss, ce_loss(surface, row, action)
+                         + 0.5 * consistency_loss(surface, row, z))
+        assert same_bits(grad, ce_grad(surface, row, action)
+                         + 0.5 * consistency_grad(surface, row, z))
+        assert physcond_point(surface, row, action, z, False) == (loss, None)
 
 
 # ---------------------------------------------------------------- attack loops
@@ -219,3 +257,21 @@ def test_restarts_keep_best_loss(rng):
                              10, Stream(12).generator())
     assert multi.loss >= single.loss
     assert multi.loss_evals > single.loss_evals
+
+
+@pytest.mark.parametrize("family", [AttackFamily.APGD_CE, AttackFamily.APGD_DLR,
+                                    AttackFamily.FAB])
+def test_batched_call_with_per_row_steps(family, rng):
+    surface = make_surface()
+    obs = rng.uniform(-0.45, 0.45, size=(7, 16))
+    actions = np.argmax(obs @ surface.logit_map.T, axis=1)
+    steps = [3, 9, 1, 9, 5, 0, 2]
+    config = config_for(family, epsilon=12, restarts=2)
+    batch = synthesize_delta(surface, obs, actions, config, steps, None)
+    extra = 1 if family is AttackFamily.FAB else 2
+    assert batch.row_evals.tolist() == [2 * (s + extra) for s in steps]
+    assert batch.loss_evals == sum(batch.row_evals.tolist())
+    for i in range(len(obs)):
+        one = synthesize_delta(surface, obs[i], int(actions[i]), config, steps[i], None)
+        assert same_bits(batch.delta[i], one.delta) and same_bits(batch.loss[i], one.loss)
+        assert isinstance(one.loss, float) and one.loss_evals == batch.row_evals[i]

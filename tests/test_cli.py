@@ -230,6 +230,35 @@ def test_corrupt_memory_file_names_file_and_line(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["search", "bench", "memory"])
+def test_memory_path_naming_a_directory_is_refused(tmp_path, capsys, mode):
+    memory_dir = tmp_path / "memory.d"
+    memory_dir.mkdir()
+    out = tmp_path / "out"
+    body = BENCH.format(out=out, memory=memory_dir)
+    cfg = write_config(tmp_path, body)
+    assert main([mode, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "is a directory" in err
+    assert f"(key 'retrieval.memory_path', line {line_of(body, 'memory_path:')})" in err
+    assert not out.exists()
+    assert list(memory_dir.iterdir()) == []
+
+
+NOT_UTF8 = b"\xff\xfe{\x00\"\x00\n"   # a UTF-16 byte-order mark and text
+
+
+def test_search_refuses_a_memory_file_that_is_not_utf8(tmp_path, capsys):
+    memory_path = tmp_path / "memory.jsonl"
+    memory_path.write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, BENCH.format(out=out, memory=memory_path))
+    assert main(["search", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {memory_path}:1: not UTF-8 text")
+    assert not out.exists()
+
+
 def trial_line(phase="scout", drop=()) -> str:
     record = {"round": 0, "phase": phase, "config": "c1", "D": 0.5, "F": 0.0,
               "T": 1.0, "V": 0.0, "U": 0.5, "episodes": 1, "seed": 0}
@@ -240,12 +269,13 @@ def trial_line(phase="scout", drop=()) -> str:
     ([trial_line(), "", trial_line(drop=("U",))], 3),   # a record without "U"
     ([trial_line("confirm")], 1),                        # only confirm records
     ([trial_line(), "{oops"], 2),                        # a line that is not JSON
-], ids=["missing-U", "no-scout", "not-json"])
+    ([trial_line(), NOT_UTF8.decode("latin-1")], 2),     # a line that is not UTF-8
+], ids=["missing-U", "no-scout", "not-json", "not-utf8"])
 def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
     logs = tmp_path / "logs"
     logs.mkdir()
     log = logs / "trials__task-000__fab__random.jsonl"
-    log.write_text("\n".join(lines) + "\n")
+    log.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     cfg = write_config(tmp_path, f"out_dir: '{logs}'\n")
     rep = tmp_path / "rep"
     assert main(["report", "--config", str(cfg), "--out", str(rep)]) == 2

@@ -270,11 +270,17 @@ def test_attacked_rollout_matches_per_step_reference(family, alloc, epsilon, res
 
 
 @pytest.mark.parametrize("family", list(AttackFamily))
-def test_synthesis_count_per_rollout(linear_victim, monkeypatch, family):
-    calls, generators = [], []
+def test_synthesis_calls_per_rollout(linear_victim, monkeypatch, family):
+    rows, generators = [], []
     real_synth, real_generator = victims.synthesize_delta, Stream.generator
-    monkeypatch.setattr(victims, "synthesize_delta",
-                        lambda *args: calls.append(1) or real_synth(*args))
+
+    def synth(*args):
+        rows.append(len(args[1]) if np.ndim(args[1]) == 2 else 1)
+        result = real_synth(*args)
+        assert type(result.loss_evals) is int
+        return result
+
+    monkeypatch.setattr(victims, "synthesize_delta", synth)
     monkeypatch.setattr(Stream, "generator",
                         lambda self: generators.append(1) or real_generator(self))
     episodes = 8
@@ -282,14 +288,48 @@ def test_synthesis_count_per_rollout(linear_victim, monkeypatch, family):
                                            episodes, Stream(22).generator())
     generators_before = 1  # the caller's rng above
     decisions = batch.flips.size
-    distinct_rows = len({row.tobytes() for trace in batch.trajectories
-                         for row in trace.observations})
     if family is AttackFamily.SQUARE:
-        assert len(calls) == decisions
+        assert rows == [1] * decisions
         assert len(generators) == generators_before + episodes + decisions
     else:
         assert len(generators) == generators_before + episodes
         if family is AttackFamily.PHYSCOND_WMA:
-            assert distinct_rows <= len(calls) <= decisions
+            assert set(rows) == {1} and len(rows) <= decisions
         else:
-            assert len(calls) == distinct_rows < decisions
+            assert rows == [linear_victim.n_cells]
+
+
+@pytest.mark.parametrize("shape", sorted(MEMO_VICTIMS))
+def test_policy_rows_match_policy(shape):
+    victim = MEMO_VICTIMS[shape]
+    obs = np.array([victim.observe(cell) for cell in range(victim.n_cells)])
+    for noisy in (obs, attacks.project_obs(obs + Stream(5).generator().normal(0, 0.05, obs.shape))):
+        actions, margins, latents = victim._policy_rows(noisy)
+        for row, action, margin, latent in zip(noisy, actions, margins, latents):
+            want_action, want_margin, want_latent = victim._policy(row)
+            assert (action, margin) == (want_action, want_margin)
+            assert _same_bits(latent, want_latent)
+
+
+@pytest.mark.parametrize("shape", sorted(MEMO_VICTIMS))
+@pytest.mark.parametrize("restarts", [1, 2])
+@pytest.mark.parametrize("epsilon", [0, 8])
+@pytest.mark.parametrize("alloc", list(AllocationRule))
+@pytest.mark.parametrize("family", [f for f in AttackFamily
+                                    if not attacks.reads_step_rng(cfg(family=f))
+                                    and not attacks.reads_previous_step(cfg(family=f))])
+def test_grid_call_matches_one_row_calls(family, alloc, epsilon, restarts, shape):
+    victim = MEMO_VICTIMS[shape]
+    config = cfg(family=family, epsilon=epsilon, steps=6, restarts=restarts, alloc=alloc)
+    obs = np.array([victim.observe(cell) for cell in range(victim.n_cells)])
+    actions, margins, _ = victim._policy_rows(obs)
+    steps = [victim.effective_steps(config, m) for m in margins]
+    grid = attacks.synthesize_delta(victim.attack_surface, obs, actions, config, steps, None)
+    assert grid.delta.shape == obs.shape and grid.loss.shape == (victim.n_cells,)
+    assert grid.loss_evals == int(grid.row_evals.sum())
+    for cell in range(victim.n_cells):
+        one = attacks.synthesize_delta(victim.attack_surface, obs[cell], actions[cell],
+                                       config, steps[cell], None)
+        assert _same_bits(grid.delta[cell], one.delta)
+        assert grid.loss[cell] == one.loss and np.signbit(grid.loss[cell]) == np.signbit(one.loss)
+        assert grid.row_evals[cell] == one.loss_evals
