@@ -12,11 +12,14 @@ The families whose synthesis reads only the decision point (apgd-ce,
 apgd-dlr and fab) run as row kernels: `obs` may be an (n, d) batch, one
 independent decision point per row, and a single observation is a one-row
 batch. A batched call must give each row the bits a one-row call gives it,
-so every per-row matrix product is the stacked `rows_matvec`, which runs
-one BLAS matrix-vector product per row exactly as `M @ x` does for one
-observation. `X @ M.T`, `einsum` and multiply-then-sum reassociate the
-dot products and move the last bits. Row-wise max, sum, exp, log and
-argsort reduce each row on its own and stay bit-equal to the 1-D calls.
+so every per-row matrix product is the stacked `rows_matvec`: numpy runs
+one BLAS matrix-vector product per row, the same kernel on the same
+operands as `M @ x` for one observation, so each dot product accumulates
+in the same order. `X @ M.T`, `einsum` and multiply-then-sum hand the
+work to other kernels that reassociate the sums and move the last bits.
+Row-wise max, sum and argsort reduce each row on its own, and exp and log
+act elementwise, so they stay bit-equal to the 1-D calls; tests hold a
+batched call equal to one-row calls.
 """
 
 from __future__ import annotations
@@ -92,14 +95,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# Reference losses and gradients for one observation. Synthesis runs the
-# fused row objectives below; tests hold the two equal bit for bit.
+# Losses and gradients for one observation. Synthesis runs the fused
+# objectives below (square reads ce_loss itself); tests hold them equal bit
+# for bit, and check these against finite differences.
 
 
 def ce_loss(surface: LinearAttackSurface, obs: np.ndarray, action: int) -> float:
     """Cross entropy of `action` under the logits at `obs` (ascent target)."""
     logits = surface.logits(obs)
-    shifted = logits - logits.max()
+    # the max of a few Python floats is the same number and much cheaper
+    shifted = logits - max(logits.tolist())
     return float(np.log(np.exp(shifted).sum()) - shifted[action])
 
 
@@ -205,19 +210,11 @@ def margin_rows(surface: LinearAttackSurface, x: np.ndarray, actions: np.ndarray
     return logits[rows, rival] - own
 
 
-def ce_point(surface: LinearAttackSurface, x: np.ndarray, action: int) -> float:
-    """`ce_loss` at one observation, with the cheaper max of `physcond_point`."""
-    logits = surface.logit_map @ x
-    shifted = logits - max(logits.tolist())
-    return float(np.log(np.exp(shifted).sum()) - shifted[action])
-
-
 def physcond_point(surface: LinearAttackSurface, x: np.ndarray, action: int,
                    z_target: np.ndarray, with_grad: bool = True):
     """`ce_loss + 0.5 * consistency_loss` at one observation, and its gradient."""
     logits = surface.logit_map @ x
-    # the max of a few Python floats is the same number and much cheaper
-    shifted = logits - max(logits.tolist())
+    shifted = logits - max(logits.tolist())   # as in ce_loss
     e = np.exp(shifted)
     total = e.sum()
     resid = surface.encoder @ x - z_target
@@ -366,7 +363,7 @@ def _square_search(surface: LinearAttackSurface, obs: np.ndarray, action: int,
     """
     d = obs.shape[0]
     delta = np.zeros_like(obs)
-    best_loss = ce_point(surface, project_obs(obs + delta), action)
+    best_loss = ce_loss(surface, project_obs(obs + delta), action)
     for i in range(steps):
         frac = 0.5 * 2.0 ** (-((5 * i) // max(steps, 1)))
         length = max(1, min(d, int(round(d * frac))))
@@ -374,7 +371,7 @@ def _square_search(surface: LinearAttackSurface, obs: np.ndarray, action: int,
         sign = 1.0 if rng.random() < 0.5 else -1.0
         cand = delta.copy()
         cand[start:start + length] = sign * bound
-        loss = ce_point(surface, project_obs(obs + cand), action)
+        loss = ce_loss(surface, project_obs(obs + cand), action)
         if loss > best_loss:
             delta, best_loss = cand, loss
     return delta, best_loss, steps + 1

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from attacksearch.attacks import (LinearAttackSurface, apply_perturbation, ce_grad,
-                                  ce_loss, ce_point, ce_rows, consistency_grad,
+                                  ce_loss, ce_rows, consistency_grad,
                                   consistency_loss, dlr_denominator, dlr_denominator_rows,
                                   dlr_grad, dlr_loss, dlr_rows, margin_loss, margin_rows,
                                   physcond_point, project_obs, synthesize_delta)
@@ -137,7 +137,6 @@ def test_fused_objectives_match_reference_bit_for_bit(shape, rng):
     for i, (row, action) in enumerate(zip(x, actions.tolist())):
         assert same_bits(ce[i], ce_loss(surface, row, action))
         assert same_bits(ce_g[i], ce_grad(surface, row, action))
-        assert same_bits(ce_point(surface, row, action), ce_loss(surface, row, action))
         assert same_bits(denom[i], dlr_denominator(surface, row))
         assert same_bits(dlr[i], dlr_loss(surface, row, action, denom[i]))
         assert same_bits(dlr_g[i], dlr_grad(surface, row, action, denom[i]))
