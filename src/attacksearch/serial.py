@@ -54,21 +54,23 @@ def write_records(path, records) -> None:
 def read_records(path) -> list[dict[str, Any]]:
     out = []
     with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise RecordFormatError(str(path), number,
-                                        f"not UTF-8 text: {exc.reason}") from None
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordFormatError(str(path), number, f"invalid record: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise RecordFormatError(str(path), number, "record is not an object")
-            out.append(obj)
+        data = fh.read()
+    # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
+    for number, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise RecordFormatError(str(path), number,
+                                    f"not UTF-8 text: {exc.reason}") from None
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordFormatError(str(path), number, f"invalid record: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise RecordFormatError(str(path), number, "record is not an object")
+        out.append(obj)
     return out
 
 

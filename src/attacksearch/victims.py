@@ -22,10 +22,8 @@ Two built-ins:
   clean, or attacked in one row-batched synthesis call for the families
   whose synthesis reads only the cell (apgd-ce, apgd-dlr, fab).
   physcond-wma synthesizes per step from the previous latent and action,
-  memoized within the call, and square per step from its own stream. An
-  episode that reads no step rng depends only on its start cell, so a
-  repeated start cell replays the stored episode. The virtual clock
-  charges every decision point, computed or replayed.
+  memoized within the call, and square per step from its own stream. The
+  virtual clock charges every decision point.
 
 Both victims are immutable parameter records plus pure rollout functions; given
 equal seeds and arguments, rollouts are bit-reproducible except for the
@@ -466,11 +464,8 @@ class LinearWorldModelVictim:
         from the clean grid and synthesizes on its own: square from the
         row's stream (ep, t, seed), physcond-wma from the previous latent
         and action, memoized on (cell, previous action, previous latent)
-        because its episodes revisit the same states. An episode that reads
-        no step rng is a pure function of its start cell, so a repeated start
-        cell replays the stored episode. Nothing outlives the call. The
-        virtual clock charges every decision point, computed or replayed, in
-        episode order.
+        because its episodes revisit the same states. Nothing outlives the
+        call. Every step is charged to the virtual clock.
         """
         _require_episodes(episodes)
         start = time.perf_counter()
@@ -480,37 +475,48 @@ class LinearWorldModelVictim:
         grid = self._grid(config if attacked and not per_step else None)
         root = int(rng.integers(2 ** 63))
         memo: dict[tuple, tuple] = {}
-
-        def point(ep: int, t: int, cell: int, latent: np.ndarray | None,
-                  action: int | None) -> tuple:
-            if not per_step:
-                return grid[cell]
-            if reads_rng:
-                step_rng = Stream(root, (ep, t, config.seed)).generator()
-                return self._synthesized_point(config, grid[cell], step_rng, latent, action)
-            key = (cell, action, None if latent is None else latent.tobytes())
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = self._synthesized_point(config, grid[cell], None,
-                                                            latent, action)
-            return found
-
-        stored: dict[int, tuple] = {}
         traces, returns, flips = [], [], []
         virtual = 0.0
         for ep in range(episodes):
             cell = int(Stream(root, (ep,)).generator().integers(self.n_cells))
-            episode = stored.get(cell)
-            if episode is None:
-                episode = self._episode(ep, cell, point, attacked)
-                if not reads_rng:
-                    stored[cell] = episode
-            trace, episode_return, episode_flips, charges = episode
-            traces.append(trace)
-            returns.append(episode_return)
-            flips.extend(episode_flips)
-            for charge in charges:
-                virtual += charge
+            latents, preds, actions, rewards, margins = [], [], [], [], []
+            obs_rows, pert_rows = [], []
+            # the previous step's readout until this step's replaces it
+            latent: np.ndarray | None = None
+            action: int | None = None
+            for t in range(self.horizon):
+                if not per_step:
+                    point = grid[cell]
+                elif reads_rng:
+                    step_rng = Stream(root, (ep, t, config.seed)).generator()
+                    point = self._synthesized_point(config, grid[cell], step_rng, latent, action)
+                else:
+                    key = (cell, action, None if latent is None else latent.tobytes())
+                    point = memo.get(key)
+                    if point is None:
+                        point = memo[key] = self._synthesized_point(config, grid[cell], None,
+                                                                    latent, action)
+                obs, clean_action, perturbed, action, margin, latent, pred, loss_evals = point
+                if attacked:
+                    flips.append(action != clean_action)
+                    obs_rows.append(obs)
+                    pert_rows.append(perturbed)
+                cell, reward, done = self.transition(cell, action)
+                latents.append(latent)
+                preds.append(pred)
+                actions.append(action)
+                rewards.append(reward)
+                margins.append(margin)
+                virtual += self.step_cost_seconds + self.gradient_cost_seconds * loss_evals
+                if done:
+                    break
+            traces.append(EpisodeTrace(
+                latents=np.array(latents), predicted_next=np.array(preds),
+                actions=np.array(actions), rewards=np.array(rewards),
+                margins=np.array(margins),
+                observations=np.array(obs_rows) if attacked else None,
+                perturbed=np.array(pert_rows) if attacked else None))
+            returns.append(math.fsum(rewards))
         return RolloutBatch(
             returns=np.array(returns, dtype=float),
             flips=np.array(flips, dtype=bool) if attacked else None,
@@ -518,36 +524,3 @@ class LinearWorldModelVictim:
             elapsed_virtual=virtual,
             trajectories=tuple(traces),
         )
-
-    def _episode(self, ep: int, cell: int, point, attacked: bool) -> tuple:
-        """(trace, return, flips, clock charges) of episode `ep` from `cell`;
-        `point(ep, t, cell, previous latent, previous action)` is the step's
-        decision point."""
-        latents, preds, actions, rewards, margins = [], [], [], [], []
-        obs_rows, pert_rows, flips, charges = [], [], [], []
-        # the previous step's readout until this step's replaces it
-        latent: np.ndarray | None = None
-        action: int | None = None
-        for t in range(self.horizon):
-            obs, clean_action, perturbed, action, margin, latent, pred, loss_evals = point(
-                ep, t, cell, latent, action)
-            if attacked:
-                flips.append(action != clean_action)
-                obs_rows.append(obs)
-                pert_rows.append(perturbed)
-            cell, reward, done = self.transition(cell, action)
-            latents.append(latent)
-            preds.append(pred)
-            actions.append(action)
-            rewards.append(reward)
-            margins.append(margin)
-            charges.append(self.step_cost_seconds + self.gradient_cost_seconds * loss_evals)
-            if done:
-                break
-        trace = EpisodeTrace(
-            latents=np.array(latents), predicted_next=np.array(preds),
-            actions=np.array(actions), rewards=np.array(rewards),
-            margins=np.array(margins),
-            observations=np.array(obs_rows) if attacked else None,
-            perturbed=np.array(pert_rows) if attacked else None)
-        return trace, math.fsum(rewards), flips, charges

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from attacksearch.logs import (TRIAL_FIELDS, best_so_far_curve, threshold_outcome,
                                trial_records)
-from attacksearch.serial import dump_record, read_records, write_records
+from attacksearch.serial import (RecordFormatError, dump_record, read_records, record_line,
+                                 write_records)
 
 
 def scout(config, u, rnd=0):
@@ -43,6 +44,19 @@ def test_write_read_round_trip(tmp_path):
     records = [scout("cfg-a", 0.25), confirm("cfg-a", 0.3)]
     write_records(path, records)
     assert read_records(path) == records
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_records_ends_lines_as_text_mode(tmp_path, newline):
+    path = tmp_path / "records.jsonl"
+    records = [scout("cfg-a", 0.25), confirm("cfg-a", 0.3)]
+    lines = [dump_record(r).encode() for r in records]
+    path.write_bytes(newline.join([lines[0], b"", lines[1], b"{"]) + newline)
+    with pytest.raises(RecordFormatError, match=r"records\.jsonl:4: invalid record"):
+        read_records(path)
+    path.write_bytes(newline.join([lines[0], b"", lines[1]]) + newline)
+    assert read_records(path) == records
+    assert record_line(path, 2) == 3
 
 
 def test_trial_record_fields(surface_victim, surface_baseline, toy_space):
