@@ -77,10 +77,6 @@ class LinearAttackSurface:
     dynamics: np.ndarray
     action_in: np.ndarray
 
-    @property
-    def n_actions(self) -> int:
-        return self.logit_map.shape[0]
-
     def logits(self, obs: np.ndarray) -> np.ndarray:
         return self.logit_map @ obs
 

@@ -18,12 +18,14 @@ Two built-ins:
   the policy reads it. Perturbations are synthesized per decision point,
   projected to the epsilon/255 ball and the observation box, and the
   environment advances with the attacked action while its dynamics stay
-  untouched. Each rollout builds a grid of every cell's decision point:
-  clean, or attacked in one row-batched synthesis call for the families
-  whose synthesis reads only the cell (apgd-ce, apgd-dlr, fab).
-  physcond-wma synthesizes per step from the previous latent and action,
-  memoized within the call, and square per step from its own stream. The
-  virtual clock charges every decision point.
+  untouched. Each victim builds one read-only table of every cell's clean
+  decision point from its weights. Clean steps read it; the families whose
+  synthesis reads only the cell (apgd-ce, apgd-dlr, fab) are attacked for
+  every cell in one row-batched synthesis call per rollout. physcond-wma
+  synthesizes per step from the previous latent and action, memoized
+  within the call, and square per step from its own stream. The virtual
+  clock charges every decision point. Only clean rollouts return
+  trajectories.
 
 Both victims are immutable parameter records plus pure rollout functions; given
 equal seeds and arguments, rollouts are bit-reproducible except for the
@@ -36,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -67,8 +69,16 @@ class EpisodeTrace:
     actions: np.ndarray           # (T,)
     rewards: np.ndarray           # (T,)
     margins: np.ndarray           # (T,) top-2 policy probability gap
-    observations: np.ndarray | None = None
-    perturbed: np.ndarray | None = None
+
+
+class CleanTable(NamedTuple):
+    """Every cell's clean decision point, one read-only row per cell."""
+
+    obs: np.ndarray               # (n_cells, d)
+    actions: np.ndarray           # (n_cells,) greedy clean action
+    margins: np.ndarray           # (n_cells,)
+    latents: np.ndarray           # (n_cells, k)
+    preds: np.ndarray             # (n_cells, k) predicted next latent
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,8 @@ class ResponseSurfaceVictim:
             raise ValueError("noise_scale must be >= 0")
         if self.action_count < 1:
             raise ValueError(f"action_count must be >= 1, got {self.action_count}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     @property
     def is_deterministic(self) -> bool:
@@ -235,19 +247,14 @@ class ResponseSurfaceVictim:
         start = time.perf_counter()
         mean_return = self.attacked_return_mean(config)
         flip_p = self.flip_true(config)
-        n_flip_samples = episodes * self.horizon
         if self.is_deterministic:
             returns = np.full(episodes, mean_return, dtype=float)
-            # illustrative indicator pattern; the exact rate rides alongside
-            idx = np.arange(n_flip_samples, dtype=float)
-            flips = np.floor((idx + 1) * flip_p) - np.floor(idx * flip_p) >= 1.0
-            flip_exact = flip_p
+            flips, flip_exact = None, flip_p
         else:
             sigma = self.return_noise_scale(config)
             half_width = math.sqrt(3.0) * sigma
             returns = mean_return + rng.uniform(-half_width, half_width, size=episodes)
-            flips = rng.random(n_flip_samples) < flip_p
-            flip_exact = None
+            flips, flip_exact = rng.random(episodes * self.horizon) < flip_p, None
         return RolloutBatch(
             returns=returns,
             flips=flips,
@@ -307,6 +314,8 @@ class LinearWorldModelVictim:
     def __post_init__(self) -> None:
         if self.grid_size < 2 or self.obs_dim < 4 or self.latent_dim < 2:
             raise ValueError("victim dimensions too small")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     @property
     def is_deterministic(self) -> bool:
@@ -351,6 +360,17 @@ class LinearWorldModelVictim:
         logit_map.setflags(write=False)
         return LinearAttackSurface(logit_map=logit_map, encoder=w["encoder"],
                                    dynamics=w["dynamics"], action_in=w["action_in"])
+
+    @cached_property
+    def _clean_table(self) -> CleanTable:
+        obs = np.ascontiguousarray(self._weights["render"].T)
+        actions, margins, latents = self._policy_rows(obs)
+        surface = self.attack_surface
+        preds = rows_matvec(surface.dynamics, latents) + surface.action_in[:, actions].T
+        table = CleanTable(obs, np.array(actions), np.array(margins), latents, preds)
+        for arr in table:
+            arr.setflags(write=False)
+        return table
 
     @property
     def goal_cell(self) -> int:
@@ -410,41 +430,17 @@ class LinearWorldModelVictim:
         frac = _clip01(margin)
         return math.ceil(1 + (config.steps - 1) * frac)
 
-    def _grid(self, config: AttackConfig | None) -> list[tuple]:
-        """Every cell's decision point: (obs, clean action, perturbed obs,
-        action, margin, latent, predicted next latent, loss evals).
-
-        Without a config the points are clean and carry no perturbation. A
-        config whose synthesis reads neither the step rng nor the previous
-        step is synthesized for all cells in one batched call.
-        """
-        obs = np.ascontiguousarray(self._weights["render"].T)
-        clean_actions, margins, latents = self._policy_rows(obs)
-        actions, perturbed, evals = clean_actions, [None] * self.n_cells, [0] * self.n_cells
-        if config is not None:
-            steps = [self.effective_steps(config, m) for m in margins]
-            result = synthesize_delta(self.attack_surface, obs, clean_actions, config,
-                                      steps, None)
-            perturbed = apply_perturbation(obs, result.delta, config.epsilon)
-            actions, margins, latents = self._policy_rows(perturbed)
-            evals = result.row_evals.tolist()
-        surface = self.attack_surface
-        preds = rows_matvec(surface.dynamics, latents) + surface.action_in[:, actions].T
-        return list(zip(obs, clean_actions, perturbed, actions, margins, latents, preds, evals))
-
-    def _synthesized_point(self, config: AttackConfig, clean: tuple,
-                           rng: np.random.Generator | None,
-                           prev_latent: np.ndarray | None, prev_action: int | None) -> tuple:
-        """`clean`'s decision point attacked under a config that reads the
-        step rng or the previous step, in the layout of `_grid`."""
-        obs, clean_action, _, _, margin, *_ = clean
-        result = synthesize_delta(self.attack_surface, obs, clean_action, config,
-                                  self.effective_steps(config, margin), rng,
-                                  prev_latent, prev_action)
-        perturbed = apply_perturbation(obs, result.delta, config.epsilon)
-        action, margin, latent = self._policy(perturbed)
-        pred = self.attack_surface.predicted_latent(latent, action)
-        return obs, clean_action, perturbed, action, margin, latent, pred, result.loss_evals
+    def _attacked_point(self, config: AttackConfig, cell: int,
+                        rng: np.random.Generator | None, prev_latent: np.ndarray | None,
+                        prev_action: int | None) -> tuple[int, np.ndarray, int]:
+        """One cell's attacked action, latent and loss evaluations."""
+        table = self._clean_table
+        obs = table.obs[cell]
+        result = synthesize_delta(self.attack_surface, obs, int(table.actions[cell]), config,
+                                  self.effective_steps(config, float(table.margins[cell])),
+                                  rng, prev_latent, prev_action)
+        action, _, latent = self._policy(apply_perturbation(obs, result.delta, config.epsilon))
+        return action, latent, result.loss_evals
 
     def clean_rollout(self, episodes: int, rng: np.random.Generator) -> RolloutBatch:
         return self._rollout(None, episodes, rng)
@@ -457,65 +453,67 @@ class LinearWorldModelVictim:
                  rng: np.random.Generator) -> RolloutBatch:
         """The episode loop; with a config, each observation is attacked first.
 
-        A grid built once per call holds every cell's decision point: clean,
-        or, for a config whose synthesis reads neither the step rng nor the
-        previous step (apgd-ce, apgd-dlr, fab), attacked by one batched
-        `synthesize_delta` call over all cells. Otherwise each step starts
-        from the clean grid and synthesizes on its own: square from the
+        Clean steps read the clean table. A config whose synthesis reads
+        neither the step rng nor the previous step (apgd-ce, apgd-dlr, fab)
+        is synthesized for every cell in one batched `synthesize_delta`
+        call. Otherwise each step synthesizes on its own: square from the
         row's stream (ep, t, seed), physcond-wma from the previous latent
         and action, memoized on (cell, previous action, previous latent)
-        because its episodes revisit the same states. Nothing outlives the
-        call. Every step is charged to the virtual clock.
+        because its episodes revisit the same states. Every step is charged
+        to the virtual clock. A clean trace is the table at the visited cells.
         """
         _require_episodes(episodes)
         start = time.perf_counter()
+        table = self._clean_table
+        clean_actions = table.actions.tolist()
         attacked = config is not None
         reads_rng = attacked and attacks.reads_step_rng(config)
         per_step = reads_rng or (attacked and attacks.reads_previous_step(config))
-        grid = self._grid(config if attacked and not per_step else None)
+        if not attacked:
+            cell_actions, cell_evals = clean_actions, [0] * self.n_cells
+        elif not per_step:
+            steps = [self.effective_steps(config, m) for m in table.margins.tolist()]
+            result = synthesize_delta(self.attack_surface, table.obs, table.actions, config,
+                                      steps, None)
+            cell_actions, _, _ = self._policy_rows(
+                apply_perturbation(table.obs, result.delta, config.epsilon))
+            cell_evals = result.row_evals.tolist()
         root = int(rng.integers(2 ** 63))
         memo: dict[tuple, tuple] = {}
         traces, returns, flips = [], [], []
         virtual = 0.0
         for ep in range(episodes):
             cell = int(Stream(root, (ep,)).generator().integers(self.n_cells))
-            latents, preds, actions, rewards, margins = [], [], [], [], []
-            obs_rows, pert_rows = [], []
-            # the previous step's readout until this step's replaces it
-            latent: np.ndarray | None = None
-            action: int | None = None
+            cells, rewards = [], []
+            latent = action = None  # the previous step's, until this step's replace them
             for t in range(self.horizon):
                 if not per_step:
-                    point = grid[cell]
+                    action, loss_evals = cell_actions[cell], cell_evals[cell]
                 elif reads_rng:
                     step_rng = Stream(root, (ep, t, config.seed)).generator()
-                    point = self._synthesized_point(config, grid[cell], step_rng, latent, action)
+                    action, latent, loss_evals = self._attacked_point(config, cell, step_rng,
+                                                                      latent, action)
                 else:
                     key = (cell, action, None if latent is None else latent.tobytes())
                     point = memo.get(key)
                     if point is None:
-                        point = memo[key] = self._synthesized_point(config, grid[cell], None,
-                                                                    latent, action)
-                obs, clean_action, perturbed, action, margin, latent, pred, loss_evals = point
+                        point = memo[key] = self._attacked_point(config, cell, None,
+                                                                 latent, action)
+                    action, latent, loss_evals = point
                 if attacked:
-                    flips.append(action != clean_action)
-                    obs_rows.append(obs)
-                    pert_rows.append(perturbed)
+                    flips.append(action != clean_actions[cell])
+                else:
+                    cells.append(cell)
                 cell, reward, done = self.transition(cell, action)
-                latents.append(latent)
-                preds.append(pred)
-                actions.append(action)
                 rewards.append(reward)
-                margins.append(margin)
                 virtual += self.step_cost_seconds + self.gradient_cost_seconds * loss_evals
                 if done:
                     break
-            traces.append(EpisodeTrace(
-                latents=np.array(latents), predicted_next=np.array(preds),
-                actions=np.array(actions), rewards=np.array(rewards),
-                margins=np.array(margins),
-                observations=np.array(obs_rows) if attacked else None,
-                perturbed=np.array(pert_rows) if attacked else None))
+            if not attacked:
+                traces.append(EpisodeTrace(
+                    latents=table.latents[cells], predicted_next=table.preds[cells],
+                    actions=table.actions[cells], rewards=np.array(rewards),
+                    margins=table.margins[cells]))
             returns.append(math.fsum(rewards))
         return RolloutBatch(
             returns=np.array(returns, dtype=float),

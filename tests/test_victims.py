@@ -32,7 +32,9 @@ def test_surface_noiseless_attacked_mean_exact(surface_victim):
     batch = surface_victim.attacked_rollout(config, 5, Stream(4).generator())
     expected = surface_victim.attacked_return_mean(config)
     assert np.all(batch.returns == expected)
+    assert batch.flips is None and batch.trajectories == ()
     assert batch.flip_rate_exact == surface_victim.flip_true(config)
+    assert batch.flip_fraction == batch.flip_rate_exact
     assert batch.elapsed_virtual == surface_victim.episode_seconds_true(config) * 5
 
 
@@ -104,6 +106,11 @@ def test_surface_theta_validation():
         ResponseSurfaceVictim("bad", (0.5,) * 8, action_count=0)
 
 
+def test_surface_horizon_validation():
+    with pytest.raises(ValueError, match="horizon"):
+        surface_task("bad", 1, horizon=0)
+
+
 # ---------------------------------------------------------------- linear victim
 
 
@@ -122,14 +129,35 @@ def test_linear_observations_in_box(linear_victim):
         assert np.all(obs >= -0.5) and np.all(obs <= 0.5)
 
 
-def test_linear_attacked_obs_within_budget(linear_victim):
-    config = cfg(epsilon=10, steps=4)
-    batch = linear_victim.attacked_rollout(config, 2, Stream(9).generator())
-    bound = 10 / 255.0
-    for trace in batch.trajectories:
-        dev = np.abs(trace.perturbed - trace.observations).max()
-        assert dev <= bound + np.finfo(float).eps
-        assert np.all(trace.perturbed >= -0.5) and np.all(trace.perturbed <= 0.5)
+def test_linear_horizon_validation():
+    with pytest.raises(ValueError, match="horizon"):
+        LinearWorldModelVictim("bad", horizon=0)
+
+
+def record_perturbations(monkeypatch) -> list:
+    """Record every (obs, attacked obs) pair the victim module builds."""
+    calls = []
+    real = victims.apply_perturbation
+
+    def apply(obs, delta, epsilon):
+        out = real(obs, delta, epsilon)
+        calls.append((np.array(obs), out))
+        return out
+
+    monkeypatch.setattr(victims, "apply_perturbation", apply)
+    return calls
+
+
+def test_linear_attacked_obs_within_budget(linear_victim, monkeypatch):
+    calls = record_perturbations(monkeypatch)
+    for family in AttackFamily:
+        before = len(calls)
+        linear_victim.attacked_rollout(cfg(family=family, epsilon=10, steps=4), 2,
+                                       Stream(9).generator())
+        assert len(calls) > before, family
+    for obs, attacked in calls:
+        assert np.abs(attacked - obs).max() <= 10 / 255.0 + np.finfo(float).eps
+        assert np.all(attacked >= -0.5) and np.all(attacked <= 0.5)
 
 
 def test_linear_zero_budget_no_flips(linear_victim):
@@ -140,24 +168,38 @@ def test_linear_zero_budget_no_flips(linear_victim):
     assert np.array_equal(batch.returns, clean.returns)
 
 
-def test_linear_rollout_determinism(linear_victim):
+def test_linear_rollout_determinism(linear_victim, monkeypatch):
     config = cfg(epsilon=8, steps=6, family=AttackFamily.SQUARE)
+    calls = record_perturbations(monkeypatch)
     a = linear_victim.attacked_rollout(config, 2, Stream(11).generator())
+    first = calls[:]
     b = linear_victim.attacked_rollout(config, 2, Stream(11).generator())
     assert np.array_equal(a.returns, b.returns)
     assert np.array_equal(a.flips, b.flips)
     assert a.elapsed_virtual == b.elapsed_virtual
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.perturbed, tb.perturbed)
+    assert first and len(calls) == 2 * len(first)
+    for (_, pa), (_, pb) in zip(first, calls[len(first):]):
+        assert np.array_equal(pa, pb)
 
 
-def test_linear_config_seed_changes_stochastic_attack(linear_victim):
-    a = linear_victim.attacked_rollout(cfg(family=AttackFamily.SQUARE, epsilon=8, seed=0),
-                                       2, Stream(12).generator())
-    b = linear_victim.attacked_rollout(cfg(family=AttackFamily.SQUARE, epsilon=8, seed=1),
-                                       2, Stream(12).generator())
-    assert not all(np.array_equal(ta.perturbed, tb.perturbed)
-                   for ta, tb in zip(a.trajectories, b.trajectories))
+def test_linear_config_seed_changes_stochastic_attack(linear_victim, monkeypatch):
+    calls = record_perturbations(monkeypatch)
+    linear_victim.attacked_rollout(cfg(family=AttackFamily.SQUARE, epsilon=8, seed=0),
+                                   2, Stream(12).generator())
+    first = calls[:]
+    linear_victim.attacked_rollout(cfg(family=AttackFamily.SQUARE, epsilon=8, seed=1),
+                                   2, Stream(12).generator())
+    second = calls[len(first):]
+    assert first and second
+    assert not (len(first) == len(second)
+                and all(np.array_equal(pa, pb) for (_, pa), (_, pb) in zip(first, second)))
+
+
+def test_linear_clean_table_is_read_only(linear_victim):
+    for arr in linear_victim._clean_table:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_environment_non_interference(linear_victim):
@@ -197,43 +239,48 @@ def test_attack_hurts_returns_at_high_budget(linear_victim):
 
 
 def _reference_rollout(victim, config, episodes, rng):
-    """The episode loop synthesizing at every decision point, with no memo."""
+    """The episode loop reading or synthesizing every decision point afresh,
+    with no table and no memo; also returns the cells it visited."""
     root = int(rng.integers(2 ** 63))
-    traces, returns, flips = [], [], []
+    traces, returns, flips, cells = [], [], [], []
     virtual = 0.0
     for ep in range(episodes):
         cell = int(Stream(root, (ep,)).generator().integers(victim.n_cells))
         latents, preds, actions, rewards, margins = [], [], [], [], []
-        obs_rows, pert_rows = [], []
         latent, action = None, None
         for t in range(victim.horizon):
             obs = victim.observe(cell)
-            clean_action, margin, _ = victim._policy(obs)
-            result = attacks.synthesize_delta(
-                victim.attack_surface, obs, clean_action, config,
-                victim.effective_steps(config, margin),
-                Stream(root, (ep, t, config.seed)).generator(), latent, action)
-            perturbed = attacks.apply_perturbation(obs, result.delta, config.epsilon)
-            action, margin, latent = victim._policy(perturbed)
+            clean_action, margin, clean_latent = victim._policy(obs)
+            loss_evals = 0
+            if config is None:
+                action, latent = clean_action, clean_latent
+            else:
+                result = attacks.synthesize_delta(
+                    victim.attack_surface, obs, clean_action, config,
+                    victim.effective_steps(config, margin),
+                    Stream(root, (ep, t, config.seed)).generator(), latent, action)
+                attacked = attacks.apply_perturbation(obs, result.delta, config.epsilon)
+                action, margin, latent = victim._policy(attacked)
+                loss_evals = result.loss_evals
             flips.append(action != clean_action)
-            obs_rows.append(obs)
-            pert_rows.append(perturbed)
+            cells.append(cell)
             preds.append(victim.attack_surface.predicted_latent(latent, action))
             cell, reward, done = victim.transition(cell, action)
             latents.append(latent)
             actions.append(action)
             rewards.append(reward)
             margins.append(margin)
-            virtual += victim.step_cost_seconds + victim.gradient_cost_seconds * result.loss_evals
+            virtual += victim.step_cost_seconds + victim.gradient_cost_seconds * loss_evals
             if done:
                 break
         traces.append(EpisodeTrace(
             latents=np.array(latents), predicted_next=np.array(preds),
             actions=np.array(actions), rewards=np.array(rewards),
-            margins=np.array(margins), observations=np.array(obs_rows),
-            perturbed=np.array(pert_rows)))
+            margins=np.array(margins)))
         returns.append(math.fsum(rewards))
-    return np.array(returns, dtype=float), np.array(flips, dtype=bool), virtual, traces
+    if config is not None:  # attacked rollouts record no trajectories
+        return np.array(returns, dtype=float), np.array(flips, dtype=bool), virtual, (), cells
+    return np.array(returns, dtype=float), None, virtual, tuple(traces), cells
 
 
 def _same_bits(a, b) -> bool:
@@ -253,17 +300,23 @@ MEMO_VICTIMS = {
 @pytest.mark.parametrize("restarts", [1, 2])
 @pytest.mark.parametrize("epsilon", [0, 8])
 @pytest.mark.parametrize("alloc", list(AllocationRule))
-@pytest.mark.parametrize("family", list(AttackFamily))
+@pytest.mark.parametrize("family", [*AttackFamily, None])
 def test_attacked_rollout_matches_per_step_reference(family, alloc, epsilon, restarts, shape):
+    """`family` None pins the clean rollout, trajectories included."""
     victim = MEMO_VICTIMS[shape]
-    config = cfg(family=family, epsilon=epsilon, steps=6, restarts=restarts, alloc=alloc, seed=3)
-    batch = victim.attacked_rollout(config, 8, Stream(21).generator())
-    returns, flips, virtual, traces = _reference_rollout(victim, config, 8,
-                                                         Stream(21).generator())
+    if family is None:
+        config = None
+        batch = victim.clean_rollout(8, Stream(21).generator())
+    else:
+        config = cfg(family=family, epsilon=epsilon, steps=6, restarts=restarts, alloc=alloc,
+                     seed=3)
+        batch = victim.attacked_rollout(config, 8, Stream(21).generator())
+    returns, flips, virtual, traces, _ = _reference_rollout(victim, config, 8,
+                                                            Stream(21).generator())
     assert _same_bits(batch.returns, returns)
     assert _same_bits(batch.flips, flips)
     assert batch.elapsed_virtual == virtual
-    assert len(batch.trajectories) == len(traces)
+    assert len(batch.trajectories) == len(traces) == (8 if config is None else 0)
     for got, want in zip(batch.trajectories, traces):
         for field in dataclasses.fields(EpisodeTrace):
             assert _same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
@@ -284,19 +337,21 @@ def test_synthesis_calls_per_rollout(linear_victim, monkeypatch, family):
     monkeypatch.setattr(Stream, "generator",
                         lambda self: generators.append(1) or real_generator(self))
     episodes = 8
-    batch = linear_victim.attacked_rollout(cfg(family=family, epsilon=8, steps=6),
-                                           episodes, Stream(22).generator())
+    config = cfg(family=family, epsilon=8, steps=6)
+    batch = linear_victim.attacked_rollout(config, episodes, Stream(22).generator())
     generators_before = 1  # the caller's rng above
     decisions = batch.flips.size
-    distinct_rows = len({row.tobytes() for trace in batch.trajectories
-                         for row in trace.observations})
+    monkeypatch.undo()
+    *_, cells = _reference_rollout(linear_victim, config, episodes, Stream(22).generator())
+    assert len(cells) == decisions
+    distinct_cells = len(set(cells))
     if family is AttackFamily.SQUARE:
         assert rows == [1] * decisions
         assert len(generators) == generators_before + episodes + decisions
     else:
         assert len(generators) == generators_before + episodes
         if family is AttackFamily.PHYSCOND_WMA:
-            assert set(rows) == {1} and distinct_rows <= len(rows) <= decisions
+            assert set(rows) == {1} and distinct_cells <= len(rows) <= decisions
         else:
             assert rows == [linear_victim.n_cells]
 
