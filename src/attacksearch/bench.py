@@ -22,8 +22,8 @@ import numpy as np
 from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
 from .evaluation import CleanBaseline, make_baseline
-from .logs import (TRIAL_FIELDS, best_so_far_curve, read_trial_log,
-                   search_summary_record, threshold_outcome, trial_records)
+from .logs import (best_so_far_curve, read_trial_log, search_summary_record,
+                   threshold_outcome, trial_records)
 from .memory import AttackMemory, MemoryRecord, summarize, warm_start
 from .proposal import ProposalDistribution
 from .rngutil import Stream
@@ -31,7 +31,7 @@ from .runconfig import (METHOD_FULL, METHOD_RANDOM, RunConfig, RunConfigError,
                         build_search_params, build_space, build_victim,
                         build_weights)
 from .search import SearchResult, run_search
-from .serial import RecordFormatError, record_line, write_records
+from .serial import write_records
 from .theory import theory_checks
 from .victims import surface_task_family
 
@@ -41,7 +41,6 @@ SUMMARY_HEADER = "Task,Method,Drop,Flip,Utility,Time"
 EFFICIENCY_HEADER = "Method,Pairs,Hit Rate,Trials,Time"
 PARITY_HEADER = "Task,Family,Method,Configs"
 
-_TRIAL_KEYS = frozenset(TRIAL_FIELDS)
 _LOG_NAME = re.compile(r"^trials__(?P<task>.+)__(?P<family>[a-z-]+)__(?P<method>[a-z-]+)\.jsonl$")
 
 
@@ -58,23 +57,6 @@ def _write_text(path: Path, text: str) -> None:
 # ----------------------------------------------------------------------
 # search mode
 # ----------------------------------------------------------------------
-
-
-def _refuse_directory(path: str) -> None:
-    if Path(path).is_dir():
-        raise RunConfigError(f"memory path is a directory, not a file: {path}",
-                             key="retrieval.memory_path")
-
-
-def _load_memory(config: RunConfig) -> AttackMemory | None:
-    """The configured attack memory, or None when retrieval is disabled."""
-    path = config.retrieval.memory_path
-    if not path:
-        return None
-    _refuse_directory(path)
-    if not Path(path).exists():
-        raise RunConfigError(f"memory file not found: {path}", key="retrieval.memory_path")
-    return AttackMemory.load(path)
 
 
 def _initial_proposal(victim, space: ConfigSpace, baseline: CleanBaseline,
@@ -100,16 +82,14 @@ def _memory_record(victim, baseline: CleanBaseline, result: SearchResult,
 
 
 def run_search_mode(config: RunConfig, out_dir: Path) -> int:
-    if config.search.update_memory and not config.retrieval.memory_path:
-        raise RunConfigError("update_memory requires retrieval.memory_path",
-                             key="search.update_memory")
+    path = config.retrieval.memory_path
+    memory = AttackMemory.load(path) if path else None
     victim = build_victim(config)
     space = build_space(config)
     weights = build_weights(config)
     params = build_search_params(config)
     baseline = make_baseline(victim, config.victim.baseline_episodes,
                              Stream(config.seed, (1,)).generator())
-    memory = _load_memory(config)
     q0 = _initial_proposal(victim, space, baseline, memory, config)
     result = run_search(victim, space, params, q0, baseline, weights,
                         record_proposals=config.search.dump_proposals)
@@ -132,7 +112,7 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
         write_records(out_dir / "trajectories.jsonl", rows)
     if config.search.update_memory:
         memory.insert(_memory_record(victim, baseline, result, memory))
-        memory.save(config.retrieval.memory_path)
+        memory.save(path)
     print(f"best {result.best_config.encode()}  U={result.best_report.utility:.6f}  "
           f"configs={len(result.history.evaluated)}  episodes={result.history.episodes_used}")
     return 0
@@ -146,9 +126,6 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
 def run_oracle_mode(config: RunConfig, out_dir: Path) -> int:
     victim = build_victim(config)
     episodes = config.oracle.episodes
-    if episodes == 0 and not victim.is_deterministic:
-        raise RunConfigError("victim is not deterministic; set a positive episode count "
-                             "to average each configuration over", key="oracle.episodes")
     space = build_space(config)
     weights = build_weights(config)
     baseline = make_baseline(victim, config.victim.baseline_episodes,
@@ -199,25 +176,12 @@ def run_theory_mode(config: RunConfig, out_dir: Path) -> int:
 # ----------------------------------------------------------------------
 
 
-def _surface_tasks(config: RunConfig, family_seed: int, tasks: int, noise: float,
-                   task_prefix: str = "task") -> list:
-    """The response-surface task family a memory or bench run searches."""
-    if config.victim.kind != "surface":
-        raise RunConfigError(f"{config.mode} mode generates response-surface task families",
-                             key="victim.kind")
-    return surface_task_family(family_seed, tasks, noise_scale=noise, task_prefix=task_prefix,
-                               horizon=config.victim.horizon,
-                               action_count=config.victim.action_count)
-
-
 def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
     path = config.retrieval.memory_path
-    if not path:
-        raise RunConfigError("memory mode requires retrieval.memory_path",
-                             key="retrieval.memory_path")
-    _refuse_directory(path)
-    tasks = _surface_tasks(config, config.memory.family_seed, config.memory.tasks,
-                           config.victim.noise, task_prefix="mem")
+    tasks = surface_task_family(config.memory.family_seed, config.memory.tasks,
+                                noise_scale=config.victim.noise, task_prefix="mem",
+                                horizon=config.victim.horizon,
+                                action_count=config.victim.action_count)
     space = build_space(config)
     weights = build_weights(config)
     memory = AttackMemory()
@@ -240,15 +204,26 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
 # ----------------------------------------------------------------------
 
 
+def _trial_log_name(task_id: str, family: AttackFamily, method: str) -> str:
+    return f"trials__{task_id}__{family.value}__{method}.jsonl"
+
+
 def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
-    tasks = _surface_tasks(config, config.bench.family_seed, config.bench.tasks,
-                           config.bench.noise)
+    tasks = surface_task_family(config.bench.family_seed, config.bench.tasks,
+                                noise_scale=config.bench.noise, horizon=config.victim.horizon,
+                                action_count=config.victim.action_count)
     weights = build_weights(config)
-    memory = _load_memory(config)
+    path = config.retrieval.memory_path
+    memory = AttackMemory.load(path) if path else None
     families = tuple(AttackFamily(f) for f in config.space.families)
+    methods = config.bench.methods
+    # the report averages every log in out_dir, this run's or not
+    names = {_trial_log_name(v.task_id, f, m) for v in tasks for f in families for m in methods}
+    stale = sorted(p for p in out_dir.glob("trials__*.jsonl") if p.name not in names)
+    if stale:
+        raise RunConfigError(f"{stale[0]} is a trial log this bench run would not rewrite")
     spaces = {f: build_space(replace(config, space=replace(config.space, families=(f.value,))))
               for f in families}
-    methods = config.bench.methods
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, victim in enumerate(tasks):
         baseline = make_baseline(victim, config.victim.baseline_episodes,
@@ -263,8 +238,7 @@ def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
                 result = run_search(victim, space, build_search_params(config, seed=seed), q0,
                                     baseline, weights, refine=method != METHOD_RANDOM)
                 records = trial_records(result.history, space)
-                write_records(out_dir / f"trials__{victim.task_id}__{family.value}__{method}.jsonl",
-                              records)
+                write_records(out_dir / _trial_log_name(victim.task_id, family, method), records)
                 scouts.add(sum(1 for r in records if r["phase"] == "scout"))
             if len(scouts) > 1:
                 raise RuntimeError(f"budget parity violated for {victim.task_id}/"
@@ -297,10 +271,8 @@ class _PairStats:
 
 
 def _pair_stats(task: str, family: str, method: str, records) -> _PairStats:
-    current: dict[str, dict] = {}
-    for rec in records:
-        current[rec["config"]] = rec
-    best = max(current.values(), key=lambda r: r["U"])
+    newest = {rec["config"]: rec for rec in records}
+    best = max(newest.values(), key=lambda r: r["U"])
     outcome = threshold_outcome(records, THRESHOLD_FRACTION)
     total_seconds = sum(r["T"] * r["episodes"] for r in records)
     configs = sum(1 for r in records if r["phase"] == "scout")
@@ -311,23 +283,9 @@ def _pair_stats(task: str, family: str, method: str, records) -> _PairStats:
 
 
 def collect_pair_stats(log_dir: Path) -> list[_PairStats]:
-    stats = []
-    for path in sorted(log_dir.glob("trials__*.jsonl")):
-        match = _LOG_NAME.match(path.name)
-        if not match:
-            continue
-        records = read_trial_log(path)
-        if not records:
-            continue
-        for ordinal, record in enumerate(records, start=1):
-            if not record.keys() >= _TRIAL_KEYS:
-                missing = next(k for k in TRIAL_FIELDS if k not in record)
-                raise RecordFormatError(str(path), record_line(path, ordinal),
-                                        f"trial record lacks {missing!r}")
-        if all(r["phase"] != "scout" for r in records):
-            raise RecordFormatError(str(path), record_line(path, 1),
-                                    "trial log contains no scout records")
-        stats.append(_pair_stats(match["task"], match["family"], match["method"], records))
+    paths = sorted(log_dir.glob("trials__*.jsonl"))
+    stats = [_pair_stats(*match.groups(), read_trial_log(path))
+             for path in paths if (match := _LOG_NAME.match(path.name))]
     if not stats:
         raise RunConfigError(f"no trial logs found under {log_dir}")
     return stats

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import (run_bench_mode, run_memory_mode, run_oracle_mode,
                     run_report_mode, run_search_mode, run_theory_mode)
-from .runconfig import MODES, RunConfig, RunConfigError, _line_map, parse_run_config
+from .runconfig import MODES, RunConfigError, parse_run_config
 from .serial import RecordFormatError
 
 _HANDLERS = {
@@ -37,22 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config: RunConfig = parse_run_config(args.config)
-    config = replace(config, mode=args.mode)
+    config = parse_run_config(args.config, args.mode)
     if args.seed is not None:
         if args.seed < 0:
             raise RunConfigError("seed must be >= 0", key="--seed")
         config = replace(config, seed=args.seed)
     out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
-    try:
-        return _HANDLERS[args.mode](config, out_dir)
-    except RunConfigError as exc:
-        # a mode's rule names its key; only the file knows the key's line
-        lines = _line_map(Path(args.config).read_text(encoding="utf-8"))
-        line = lines.get(tuple(exc.key.split(".")))
-        if line is None:
-            raise
-        raise RunConfigError(exc.message, exc.key, line) from None
+    return _HANDLERS[args.mode](config, out_dir)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .configspace import ConfigSpace
 from .search import SearchHistory
-from .serial import read_records
+from .serial import RecordFormatError, read_records, record_line
 
 TRIAL_FIELDS = ("round", "phase", "config", "D", "F", "T", "V", "U", "episodes", "seed")
 
@@ -32,7 +32,20 @@ def trial_records(history: SearchHistory, space: ConfigSpace) -> list[dict]:
 
 
 def read_trial_log(path) -> list[dict]:
-    return read_records(path)
+    """The records of a trial log. Refuses, as `file:line`, an empty log, a
+    record that lacks a `TRIAL_FIELDS` key and a log that opens with no scout."""
+    records = read_records(path)
+    if not records:
+        raise RecordFormatError(str(path), 1, "trial log is empty")
+    for ordinal, record in enumerate(records, start=1):
+        missing = [k for k in TRIAL_FIELDS if k not in record]
+        if missing:
+            raise RecordFormatError(str(path), record_line(path, ordinal),
+                                    f"trial record lacks {missing[0]!r}")
+    if records[0]["phase"] != "scout":
+        raise RecordFormatError(str(path), record_line(path, 1),
+                                "trial log does not open with a scout record")
+    return records
 
 
 @dataclass(frozen=True)
@@ -48,28 +61,23 @@ class TrialCurve:
 
 
 def best_so_far_curve(records) -> TrialCurve:
-    """Walk log lines in order; confirmed utilities replace scout ones.
+    """The running maximum of every logged utility, read after each trial.
 
     A "trial" is one distinct configuration, counted when its scout line
-    appears; confirm lines update values within the current trial count.
+    appears. A confirm line counts toward the current trial: it raises the
+    curve when it logs a higher utility and never lowers it.
     """
-    current: dict[str, float] = {}
+    if not records or records[0]["phase"] != "scout":
+        raise ValueError("trial log does not open with a scout record")
     curve: list[float] = []
+    best = -float("inf")
     for rec in records:
-        current[rec["config"]] = float(rec["U"])
-        best = max(current.values())
+        best = max(best, float(rec["U"]))
         if rec["phase"] == "scout":
             curve.append(best)
-        elif curve:
-            curve[-1] = max(curve[-1], best)
-    if not curve:
-        raise ValueError("trial log contains no scout records")
-    running = []
-    best = -float("inf")
-    for value in curve:
-        best = max(best, value)
-        running.append(best)
-    return TrialCurve(tuple(running), running[-1])
+        else:
+            curve[-1] = best
+    return TrialCurve(tuple(curve), curve[-1])
 
 
 @dataclass(frozen=True)

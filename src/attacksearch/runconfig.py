@@ -4,14 +4,16 @@ Every key is declared once, as a spec-dataclass field that carries its
 default, its documentation comment and its constraint. One walker parses
 every section from those fields: a key's type is the type of its default,
 unknown keys are rejected, and every violation names the dotted key and
-the line it came from. `emit_defaults` walks the same fields, and its text
-parses back to the all-default config.
+the line it came from. The rules of the run's mode are checked in the same
+parse, before the mode does any work. `emit_defaults` walks the same
+fields, and its text parses back to the all-default config.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
+from pathlib import Path
 
 import yaml
 
@@ -30,9 +32,8 @@ _FAMILIES = tuple(f.value for f in AttackFamily)
 
 class RunConfigError(ValueError):
     def __init__(self, message: str, key: str = "", line: int | None = None):
-        location = f" (key {key!r}" + (f", line {line})" if line else ")") if key else ""
-        super().__init__(message + location)
-        self.message = message
+        where = ", ".join(filter(None, (key and f"key {key!r}", line and f"line {line}")))
+        super().__init__(f"{message} ({where})" if where else message)
         self.key = key
         self.line = line
 
@@ -193,14 +194,26 @@ class RunConfig:
 _TYPE_NAMES = {bool: "boolean", int: "integer", float: "real", str: "string"}
 
 
-def _line_map(text: str) -> dict[tuple, int]:
-    """Dotted-path -> 1-based line number, from the YAML node graph."""
+class _Loader(yaml.SafeLoader):
+    def construct_object(self, node, deep=False):   # marks a value like `!!int abc`
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, KeyError, AttributeError):
+            problem = f"cannot construct {node.value!r} as {node.tag.rsplit(':', 1)[-1]}"
+            raise yaml.MarkedYAMLError(problem=problem, problem_mark=node.start_mark) from None
+
+
+def _load(text: str) -> tuple[object, dict[tuple, int]]:
+    """The YAML document and each dotted key path's 1-based line, in one loader pass."""
     try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        loader = _Loader(text)
+        root = loader.get_single_node()
+        data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark else None
-        raise RunConfigError(f"invalid YAML: {exc}", line=line) from None
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise RunConfigError(f"invalid YAML: {problem}",
+                             line=mark.line + 1 if mark else None) from None
     lines: dict[tuple, int] = {}
 
     def walk(node, path):
@@ -210,9 +223,8 @@ def _line_map(text: str) -> dict[tuple, int]:
                 lines[key_path] = key_node.start_mark.line + 1
                 walk(value_node, key_path)
 
-    if root is not None:
-        walk(root, ())
-    return lines
+    walk(root, ())
+    return data, lines
 
 
 def _scalar(value, kind):
@@ -297,23 +309,53 @@ class _Walker:
         return out
 
 
-def parse_run_config_text(text: str) -> RunConfig:
-    lines = _line_map(text)
-    data = yaml.safe_load(text)
+def _check_mode(config: RunConfig, walker: _Walker) -> None:
+    """The rules `config.mode` puts on the keys it reads, in the order it reads them."""
+    mode, path, path_key = config.mode, config.retrieval.memory_path, ("retrieval", "memory_path")
+    surface_only = f"{mode} mode generates response-surface task families"
+    if mode == "search" and config.search.update_memory and not path:
+        walker.fail(("search", "update_memory"), "update_memory requires retrieval.memory_path")
+    if (mode == "oracle" and config.oracle.episodes == 0
+            and not build_victim(config).is_deterministic):
+        walker.fail(("oracle", "episodes"), "victim is not deterministic; set a positive "
+                    "episode count to average each configuration over")
+    if mode == "memory" and not path:
+        walker.fail(path_key, "memory mode requires retrieval.memory_path")
+    if mode == "bench" and config.victim.kind != "surface":
+        walker.fail(("victim", "kind"), surface_only)
+    if mode in ("search", "bench", "memory") and path and Path(path).is_dir():
+        walker.fail(path_key, f"memory path is a directory, not a file: {path}")
+    if mode == "memory" and config.victim.kind != "surface":
+        walker.fail(("victim", "kind"), surface_only)
+    if mode in ("search", "bench") and path and not Path(path).exists():
+        walker.fail(path_key, f"memory file not found: {path}")
+
+
+def parse_run_config_text(text: str, mode: str | None = None) -> RunConfig:
+    """Parse a run configuration and check the rules of `mode` (by default the
+    file's own) on it, so that a mode refuses a bad config before any work."""
+    data, lines = _load(text)
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise RunConfigError("run configuration must be a mapping at the top level")
-    return _Walker(lines).spec(RunConfig, data)
+    walker = _Walker(lines)
+    config = walker.spec(RunConfig, data)
+    config = replace(config, mode=mode or config.mode)
+    _check_mode(config, walker)
+    return config
 
 
-def parse_run_config(path) -> RunConfig:
+def parse_run_config(path, mode: str | None = None) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise RunConfigError(f"cannot read run configuration: {exc}") from None
-    return parse_run_config_text(text)
+    except UnicodeDecodeError as exc:
+        raise RunConfigError(f"run configuration is not UTF-8 text: {exc.reason}",
+                             line=raw.count(b"\n", 0, exc.start) + 1) from None
+    return parse_run_config_text(text, mode)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from attacksearch.cli import main, run
 from attacksearch.memory import AttackMemory
 from attacksearch.serial import dump_record, read_records
+from attacksearch.victims import ResponseSurfaceVictim
 
 
 def write_config(tmp_path, body) -> Path:
@@ -145,6 +146,25 @@ def test_unknown_key_exit_code(tmp_path):
     assert main(["search", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("body, line", [
+    (b"seed: !!python/object:os.system x\n", 1),
+    (b"seed: 2024-13-45\n", 1),
+    (b"seed: 1\nsearch:\n  budget: !!int abc\n", 3),
+    (b"search:\n  dump_proposals: !!bool maybe\n", 2),
+    (b"out_dir: !!timestamp soon\n", 1),
+    ("victim:\n  task_id: caf\xe9\n".encode("latin-1"), 2),
+], ids=["unconstructible-tag", "impossible-date", "int-tag-on-text", "bool-tag-on-text",
+        "timestamp-tag-on-text", "latin-1"])
+def test_config_that_does_not_load_exits_2_naming_its_line(tmp_path, capsys, body, line):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(body)
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f" (line {line})\n")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
 @pytest.mark.parametrize("victim", ["{task_seed: -3}", "{kind: linear, weight_seed: -2}"])
 def test_negative_victim_seed_exit_code(tmp_path, capsys, victim):
     cfg = write_config(tmp_path, f"out_dir: {tmp_path}\nvictim: {victim}\n")
@@ -168,14 +188,22 @@ def test_search_update_memory_without_path_fails_before_searching(tmp_path, caps
     assert not out.exists()
 
 
-def test_search_with_missing_memory_file_fails(tmp_path, capsys):
+def test_search_with_missing_memory_file_fails_before_any_rollout(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("clean_rollout ran before the config was checked")
+
+    monkeypatch.setattr(ResponseSurfaceVictim, "clean_rollout", no_rollout)
     out = tmp_path / "out"
     body = SMALL_SEARCH.format(out=out) + "retrieval:\n  memory_path: %s\n" % (
         tmp_path / "nope.jsonl")
     cfg = write_config(tmp_path, body)
     assert main(["search", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
     line = line_of(body, "memory_path:")
-    assert f"(key 'retrieval.memory_path', line {line})" in capsys.readouterr().err
+    assert err == (f"error: memory file not found: {tmp_path / 'nope.jsonl'} "
+                   f"(key 'retrieval.memory_path', line {line})\n")
+    assert not out.exists()
 
 
 BENCH = """
@@ -268,9 +296,11 @@ def trial_line(phase="scout", drop=()) -> str:
 @pytest.mark.parametrize("lines, bad_line", [
     ([trial_line(), "", trial_line(drop=("U",))], 3),   # a record without "U"
     ([trial_line("confirm")], 1),                        # only confirm records
+    (["", trial_line("confirm"), trial_line()], 2),      # a confirm before any scout
+    ([], 1),                                             # no record at all
     ([trial_line(), "{oops"], 2),                        # a line that is not JSON
     ([trial_line(), NOT_UTF8.decode("latin-1")], 2),     # a line that is not UTF-8
-], ids=["missing-U", "no-scout", "not-json", "not-utf8"])
+], ids=["missing-U", "no-scout", "confirm-first", "empty", "not-json", "not-utf8"])
 def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -281,7 +311,39 @@ def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
     assert main(["report", "--config", str(cfg), "--out", str(rep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {log}:{bad_line}: ")
+    assert err.count("\n") == 1
     assert not rep.exists()
+
+
+STALE_BENCH = """
+seed: 1
+out_dir: '{out}'
+space:
+  families: [fab]
+  epsilons: {{fab: [4, 8]}}
+  steps: {{fab: [8]}}
+search:
+  budget: 2
+  batch: 2
+bench:
+  tasks: {tasks}
+  methods: [random, attacksearch]
+"""
+
+
+def test_bench_refuses_a_trial_log_it_would_not_rewrite(tmp_path, capsys):
+    out = tmp_path / "bench"
+    cfg = write_config(tmp_path, STALE_BENCH.format(out=out, tasks=2))
+    assert main(["bench", "--config", str(cfg)]) == 0
+    assert main(["bench", "--config", str(cfg)]) == 0   # a rerun rewrites its own logs
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    cfg.write_text(STALE_BENCH.format(out=out, tasks=1))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    stale = out / "trials__task-001__fab__attacksearch.jsonl"
+    assert capsys.readouterr().err == \
+        f"error: {stale} is a trial log this bench run would not rewrite\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 def test_memory_mode_builds_records(tmp_path):

@@ -71,7 +71,7 @@ def test_trial_record_fields(surface_victim, surface_baseline, toy_space):
     assert len(scouts) == 6
 
 
-def test_best_so_far_monotone_and_confirm_replaces():
+def test_best_so_far_monotone_and_confirm_never_lowers():
     records = [
         scout("a", 0.2), scout("b", 0.5), confirm("b", 0.4),
         scout("c", 0.1, rnd=1), scout("d", 0.45, rnd=1), confirm("d", 0.48, rnd=1),
@@ -80,6 +80,8 @@ def test_best_so_far_monotone_and_confirm_replaces():
     assert curve.trials == 4
     assert curve.best_after_trial == (0.2, 0.5, 0.5, 0.5)
     assert curve.final_best == 0.5
+    # a confirm that logs a higher utility raises its own trial's value
+    assert best_so_far_curve([scout("a", 0.2), confirm("a", 0.3)]).best_after_trial == (0.3,)
 
 
 def test_threshold_hit_at_trial_three():

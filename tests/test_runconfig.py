@@ -217,6 +217,32 @@ def test_bad_grid_override_names_family_and_line(grid, entry, key):
     assert (err.value.key, err.value.line) == (f"space.{grid}.{key}", 4)
 
 
+@pytest.mark.parametrize("mode, text, key, line", [
+    ("search", "seed: 1\nsearch:\n  update_memory: true\n", "search.update_memory", 3),
+    ("oracle", "victim:\n  noise: 0.5\noracle:\n  episodes: 0\n", "oracle.episodes", 4),
+    ("oracle", "victim:\n  kind: linear\n", "oracle.episodes", None),
+    ("memory", "seed: 1\n", "retrieval.memory_path", None),
+    ("bench", "seed: 1\nvictim:\n  kind: linear\n", "victim.kind", 3),
+    ("search", "retrieval:\n  memory_path: no/such/memory.jsonl\n", "retrieval.memory_path", 2),
+], ids=["update-memory", "noisy-oracle", "linear-oracle", "memory-without-path",
+        "linear-bench", "missing-memory-file"])
+def test_mode_rules_are_checked_while_parsing(mode, text, key, line):
+    parse_run_config_text(text, "theory")   # the theory mode reads none of these keys
+    with pytest.raises(RunConfigError) as err:
+        parse_run_config_text(text, mode)
+    assert (err.value.key, err.value.line) == (key, line)
+
+
+def test_mode_rules_keep_each_mode_order(tmp_path):
+    text = f"victim:\n  kind: linear\nretrieval:\n  memory_path: '{tmp_path}'\n"
+    with pytest.raises(RunConfigError, match="is a directory") as err:
+        parse_run_config_text(text, "memory")
+    assert (err.value.key, err.value.line) == ("retrieval.memory_path", 4)
+    with pytest.raises(RunConfigError, match="bench mode generates response-surface") as err:
+        parse_run_config_text(text, "bench")
+    assert (err.value.key, err.value.line) == ("victim.kind", 2)
+
+
 def test_budget_batch_rule_names_section_and_line():
     with pytest.raises(RunConfigError, match="budget >= batch >= 1") as err:
         parse_run_config_text("seed: 1\nsearch:\n  batch: 20\n")
