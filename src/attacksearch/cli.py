@@ -37,10 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        raise RunConfigError("seed must be >= 0", key="--seed")
     config = parse_run_config(args.config, args.mode)
     if args.seed is not None:
-        if args.seed < 0:
-            raise RunConfigError("seed must be >= 0", key="--seed")
         config = replace(config, seed=args.seed)
     out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
     return _HANDLERS[args.mode](config, out_dir)

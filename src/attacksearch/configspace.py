@@ -17,6 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .rngutil import MAX_SEED
 
@@ -140,6 +143,17 @@ def grid_problem(axis: str, values: tuple) -> str | None:
     return None
 
 
+class SpaceColumns(NamedTuple):
+    """Every config's fields in canonical index order, one read-only array each."""
+
+    family_rank: np.ndarray       # int
+    epsilon: np.ndarray           # float, like steps, restarts and rho
+    steps: np.ndarray
+    restarts: np.ndarray
+    rho: np.ndarray
+    margin_linear: np.ndarray     # bool: the allocation is margin-linear
+
+
 @dataclass(frozen=True)
 class FamilyGrid:
     """Candidate values for every configuration field of one family."""
@@ -207,6 +221,16 @@ class ConfigSpace:
     @cached_property
     def _index(self) -> dict[AttackConfig, int]:
         return {c: i for i, c in enumerate(self.configs)}
+
+    @cached_property
+    def columns(self) -> SpaceColumns:
+        """The configs' fields as arrays, built once per space."""
+        cols = SpaceColumns(*map(np.array, zip(*(
+            (c.family.rank, float(c.epsilon), float(c.steps), float(c.restarts), c.rho,
+             c.allocation is AllocationRule.MARGIN_LINEAR) for c in self.configs))))
+        for col in cols:
+            col.flags.writeable = False
+        return cols
 
     @cached_property
     def _blocks(self) -> tuple[list[int], list[tuple]]:

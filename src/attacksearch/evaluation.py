@@ -70,11 +70,13 @@ def reward_drop(j_clean: float, j_adv: float) -> float:
 def variability(returns, j_clean: float) -> float:
     """Population standard deviation of returns, normalized by |J_clean|+1."""
     arr = np.asarray(returns, dtype=float)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValueError("need at least one return")
-    if arr.size == 1:
+    if n == 1:
         return 0.0
-    return float(np.std(arr)) / (abs(j_clean) + 1.0)
+    dev = arr - np.add.reduce(arr) / n    # np.std's arithmetic, without its wrapper
+    return math.sqrt(np.add.reduce(dev * dev) / n) / (abs(j_clean) + 1.0)
 
 
 def scalarize(drop: float, flip: float, runtime: float, var: float,

@@ -155,22 +155,14 @@ def population_utility_map(victim: ResponseSurfaceVictim, space: ConfigSpace,
     """Closed-form population utility for a (possibly noisy) response surface.
 
     The variability component is the exact return noise scale normalized by
-    |J_clean| + 1, and the flip component is the exact flip probability.
+    |J_clean| + 1, and the flip component is the exact flip probability. One
+    array pass over `victim.surface_arrays(space)`.
     """
-    n = space.size
-    u = np.empty(n)
-    d = np.empty(n)
-    f = np.empty(n)
-    t = np.empty(n)
-    v = np.empty(n)
+    drop, f, t, noise = victim.surface_arrays(space)
     denom = abs(victim.j_clean) + 1.0
-    for i, config in enumerate(space.configs):
-        d[i] = (victim.j_clean - victim.attacked_return_mean(config)) / denom
-        f[i] = victim.flip_true(config)
-        t[i] = victim.episode_seconds_true(config)
-        v[i] = victim.return_noise_scale(config) / denom
-        u[i] = (d[i] + weights.flip * f[i]
-                - weights.runtime * math.log1p(t[i]) - weights.variability * v[i])
+    d = (victim.j_clean - (victim.j_clean - drop * denom)) / denom   # via attacked_return_mean
+    v = noise / denom
+    u = d + weights.flip * f - weights.runtime * np.log1p(t) - weights.variability * v
     return UtilityMap(space, u, d, f, t, v)
 
 

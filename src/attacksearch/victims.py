@@ -45,7 +45,8 @@ import numpy as np
 from . import attacks
 from .attacks import (LinearAttackSurface, _softmax, apply_perturbation, rows_matvec,
                       synthesize_delta)
-from .configspace import EPSILON_RANGES, STEPS_RANGES, AllocationRule, AttackConfig
+from .configspace import (EPSILON_RANGES, STEPS_RANGES, AllocationRule, AttackConfig,
+                          AttackFamily, ConfigSpace)
 from .rngutil import Stream
 
 THETA_DIM = 8
@@ -58,6 +59,8 @@ _SURFACE_RANGES = {
     family: tuple(float(x) for lo, hi, _ in (EPSILON_RANGES[family], STEPS_RANGES[family])
                   for x in (lo, hi - lo))
     for family in EPSILON_RANGES}
+# The same ranges as rows (e_lo, e_span, s_lo, s_span) by family rank, for whole-space arrays.
+_SURFACE_RANGE_ROWS = np.array([_SURFACE_RANGES[family] for family in AttackFamily]).T
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,25 @@ class ResponseSurfaceVictim:
 
     def return_noise_scale(self, config: AttackConfig) -> float:
         return self.noise_scale * 0.05 * (abs(self.j_clean) + 1.0)
+
+    def surface_arrays(self, space: ConfigSpace) -> tuple[np.ndarray, ...]:
+        """(drop, flip, episode seconds, noise scale) of every config of `space` in index
+        order: the four scalar surfaces above in one array pass, with their constants."""
+        th = self.theta
+        col = space.columns
+        e_lo, e_span, s_lo, s_span = _SURFACE_RANGE_ROWS[:, col.family_rank]
+        gauss = np.exp(-((col.epsilon - (e_lo + e_span * th[1])) ** 2) / (2 * (0.25 * e_span) ** 2)
+                       - ((col.steps - (s_lo + s_span * th[2])) ** 2) / (2 * (0.25 * s_span) ** 2))
+        fam_pref = np.array([0.75 + 0.25 * math.cos(2 * math.pi * (th[5] - f.rank / 5.0))
+                             for f in AttackFamily])[col.family_rank]
+        on_pref = col.margin_linear == (self.preferred_allocation is AllocationRule.MARGIN_LINEAR)
+        drop = ((0.55 + 0.5 * th[4]) * fam_pref * gauss * np.where(on_pref, 1.0, 0.8)
+                * (1.0 - 0.1 * np.abs(col.rho - 0.75)))
+        flip = (0.55 + 0.4 * th[6]) * (1.0 - np.exp(-col.epsilon / 8.0))
+        seconds = ((0.35 + 0.65 * th[7]) * (2.0 + 0.45 * col.steps * col.restarts)
+                   * np.where(col.margin_linear, 1.12, 1.0))
+        noise = np.full(space.size, self.noise_scale * 0.05 * (abs(self.j_clean) + 1.0))
+        return drop, flip, seconds, noise
 
     def attacked_return_mean(self, config: AttackConfig) -> float:
         return self.j_clean - self.drop_true(config) * (abs(self.j_clean) + 1.0)

@@ -172,6 +172,20 @@ def test_negative_victim_seed_exit_code(tmp_path, capsys, victim):
     assert "_seed" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_is_refused_before_the_config_is_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, f"out_dir: {tmp_path / 'out'}\nvictim:\n  kind: linear\n")
+    assert main(["memory", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0 (key '--seed')\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
+def test_negative_seed_flag_is_refused_before_a_missing_config(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["search", "--config", str(missing), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0 (key '--seed')\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_memory_mode_requires_path(tmp_path):
     cfg = write_config(tmp_path, "out_dir: %s\n" % tmp_path)
     assert main(["memory", "--config", str(cfg)]) == 2

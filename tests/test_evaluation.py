@@ -292,3 +292,24 @@ def test_means_match_np_mean_bit_for_bit(returns, flips):
                               CleanBaseline(j_clean=0.0), None)
     assert same_bits(report.drop, reward_drop(0.0, float(np.mean(returns))))
     assert same_bits(report.flip, float(np.mean(flips)))
+
+
+magnitude = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(returns=st.lists(st.tuples(magnitude, st.booleans()), min_size=2, max_size=12),
+       j_clean=finite)
+def test_variability_matches_np_std_bit_for_bit(returns, j_clean):
+    """variability is np.std's arithmetic without its wrapper, to the bit."""
+    arr = np.array([-m if negative else m for m, negative in returns])
+    assert same_bits(variability(arr, j_clean), float(np.std(arr)) / (abs(j_clean) + 1.0))
+
+
+def test_variability_matches_np_std_on_random_arrays():
+    rng = Stream(17).generator()
+    for _ in range(5000):
+        size = int(rng.integers(2, 13))
+        arr = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3, 3, size)
+        j_clean = float(rng.normal(0.0, 50.0))
+        assert same_bits(variability(arr, j_clean), float(np.std(arr)) / (abs(j_clean) + 1.0))
