@@ -389,7 +389,7 @@ def reads_previous_step(config: AttackConfig) -> bool:
 
 def _row_kernel(surface: LinearAttackSurface, obs: np.ndarray, actions: np.ndarray,
                 config: AttackConfig, steps: np.ndarray):
-    """One restart of apgd-ce, apgd-dlr or fab over rows sorted by `steps`, descending."""
+    """apgd-ce, apgd-dlr or fab over rows sorted by `steps`, descending."""
     bound = config.epsilon / 255.0
     if config.family is AttackFamily.FAB:
         return _fab_rows(surface, obs, actions, bound, steps)
@@ -401,17 +401,6 @@ def _row_kernel(surface: LinearAttackSurface, obs: np.ndarray, actions: np.ndarr
     return _pgd_rows(objective, obs, bound, steps, config.rho)
 
 
-def _point_kernel(surface: LinearAttackSurface, obs: np.ndarray, action: int,
-                  config: AttackConfig, steps: int, rng: np.random.Generator | None,
-                  z_target: np.ndarray | None):
-    """One restart of square or physcond-wma at a single decision point."""
-    bound = config.epsilon / 255.0
-    if config.family is AttackFamily.SQUARE:
-        return _square_search(surface, obs, action, bound, steps, rng)
-    return _pgd_point(lambda x, g: physcond_point(surface, x, action, z_target, g),
-                      obs, bound, steps, config.rho)
-
-
 def synthesize_delta(surface: LinearAttackSurface, obs: np.ndarray, action,
                      config: AttackConfig, effective_steps,
                      rng: np.random.Generator | None,
@@ -419,26 +408,32 @@ def synthesize_delta(surface: LinearAttackSurface, obs: np.ndarray, action,
                      prev_action: int | None = None) -> AttackResult:
     """Craft a perturbation for one decision point, or for a batch of them.
 
-    Runs the family's attack loop `config.restarts` times with distinct
-    derived randomness and keeps the delta with the highest loss. The
-    returned delta already satisfies the L-infinity budget; callers still
-    project the perturbed observation to the box. A family that reads
-    neither the step rng nor the previous step also takes `obs` (n, d) with
-    per-row `action` and `effective_steps`; the delta is then (n, d), the
-    loss (n,), and `row_evals` holds each row's share of `loss_evals`.
+    Square runs its block search `config.restarts` times on one continuing
+    generator and keeps the first delta of highest loss. Every other family
+    is a pure function of the decision point, so a restart would repeat the
+    first run bit for bit: its kernel runs once and `config.restarts` times
+    its loss evaluations are charged. The returned delta already satisfies
+    the L-infinity budget; callers still project the perturbed observation
+    to the box. A family that reads neither the step rng nor the previous
+    step also takes `obs` (n, d) with per-row `action` and
+    `effective_steps`; the delta is then (n, d), the loss (n,), and
+    `row_evals` holds each row's share of `loss_evals`.
     """
-    restarts = max(1, config.restarts)
-    if reads_step_rng(config) or reads_previous_step(config):
-        z_target = None
-        if reads_previous_step(config):
-            z_target = (surface.encoder @ obs if prev_latent is None or prev_action is None
-                        else surface.predicted_latent(prev_latent, prev_action))
-        best = None
-        for _ in range(restarts):
-            result = _point_kernel(surface, obs, action, config, effective_steps, rng, z_target)
-            if best is None or result[1] > best[1]:
-                best = result
-        return AttackResult(best[0], best[1], restarts * best[2])
+    restarts = config.restarts
+    bound = config.epsilon / 255.0
+    if reads_step_rng(config):
+        # max keeps the first of equal losses
+        delta, loss, evals = max((_square_search(surface, obs, action, bound,
+                                                 effective_steps, rng)
+                                  for _ in range(restarts)), key=lambda r: r[1])
+        return AttackResult(delta, loss, restarts * evals)
+    if reads_previous_step(config):
+        z_target = (surface.encoder @ obs if prev_latent is None or prev_action is None
+                    else surface.predicted_latent(prev_latent, prev_action))
+        delta, loss, evals = _pgd_point(
+            lambda x, g: physcond_point(surface, x, action, z_target, g),
+            obs, bound, effective_steps, config.rho)
+        return AttackResult(delta, loss, restarts * evals)
     single = np.ndim(obs) == 1
     batch = np.asarray(obs, dtype=float).reshape(-1, np.shape(obs)[-1])
     n = batch.shape[0]
@@ -446,16 +441,11 @@ def synthesize_delta(surface: LinearAttackSurface, obs: np.ndarray, action,
     steps = np.broadcast_to(np.asarray(effective_steps, dtype=np.int64), n)
     # sorted by steps, descending, the rows still iterating are a prefix
     order = np.argsort(-steps, kind="stable")
-    batch, actions, steps = batch[order], actions[order], steps[order]
-    best_delta, best_loss, evals = _row_kernel(surface, batch, actions, config, steps)
-    for _ in range(restarts - 1):
-        delta, loss, _ = _row_kernel(surface, batch, actions, config, steps)
-        better = loss > best_loss
-        best_loss[better] = loss[better]
-        best_delta[better] = delta[better]
-    out_delta, out_loss, row_evals = (np.empty_like(best_delta), np.empty_like(best_loss),
+    delta, loss, evals = _row_kernel(surface, batch[order], actions[order], config,
+                                     steps[order])
+    out_delta, out_loss, row_evals = (np.empty_like(delta), np.empty_like(loss),
                                       np.empty_like(evals))
-    out_delta[order], out_loss[order], row_evals[order] = best_delta, best_loss, restarts * evals
+    out_delta[order], out_loss[order], row_evals[order] = delta, loss, restarts * evals
     if single:
         return AttackResult(out_delta[0], float(out_loss[0]), int(row_evals[0]))
     return AttackResult(out_delta, out_loss, int(row_evals.sum()), row_evals)

@@ -14,7 +14,7 @@ same logs is byte-identical to what `bench` produced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +222,8 @@ def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
     stale = sorted(p for p in out_dir.glob("trials__*.jsonl") if p.name not in names)
     if stale:
         raise RunConfigError(f"{stale[0]} is a trial log this bench run would not rewrite")
-    spaces = {f: build_space(replace(config, space=replace(config.space, families=(f.value,))))
-              for f in families}
+    grids = build_space(config).grids
+    spaces = {f: ConfigSpace({f: grids[f]}) for f in families}
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, victim in enumerate(tasks):
         baseline = make_baseline(victim, config.victim.baseline_episodes,

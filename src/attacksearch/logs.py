@@ -3,13 +3,28 @@ and threshold-efficiency computations the reports are built from."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .configspace import ConfigSpace
 from .search import SearchHistory
 from .serial import RecordFormatError, read_records, record_line
 
-TRIAL_FIELDS = ("round", "phase", "config", "D", "F", "T", "V", "U", "episodes", "seed")
+# Each trial-record field, in logged order: what its value must be, and that
+# rule's name. JSON numbers load as exactly int or float, so `type` keeps
+# booleans out, and the bound refuses NaN, infinities and integers beyond floats.
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+           "a finite number")
+_FIELD_RULES = {
+    "round": _INTEGER,
+    "phase": (lambda v: v in ("scout", "confirm"), "'scout' or 'confirm'"),
+    "config": (lambda v: type(v) is str, "a string"),
+    "D": _NUMBER, "F": _NUMBER, "T": _NUMBER, "V": _NUMBER, "U": _NUMBER,
+    "episodes": _INTEGER,
+    "seed": _INTEGER,
+}
+TRIAL_FIELDS = tuple(_FIELD_RULES)
 
 
 def trial_records(history: SearchHistory, space: ConfigSpace) -> list[dict]:
@@ -33,15 +48,20 @@ def trial_records(history: SearchHistory, space: ConfigSpace) -> list[dict]:
 
 def read_trial_log(path) -> list[dict]:
     """The records of a trial log. Refuses, as `file:line`, an empty log, a
-    record that lacks a `TRIAL_FIELDS` key and a log that opens with no scout."""
+    record that lacks a `TRIAL_FIELDS` key or holds a value of the wrong
+    kind in one, and a log that opens with no scout."""
     records = read_records(path)
     if not records:
         raise RecordFormatError(str(path), 1, "trial log is empty")
     for ordinal, record in enumerate(records, start=1):
-        missing = [k for k in TRIAL_FIELDS if k not in record]
-        if missing:
-            raise RecordFormatError(str(path), record_line(path, ordinal),
-                                    f"trial record lacks {missing[0]!r}")
+        for key, (holds, rule) in _FIELD_RULES.items():
+            if key not in record:
+                problem = f"trial record lacks {key!r}"
+            elif not holds(record[key]):
+                problem = f"trial record {key!r} must be {rule}, got {record[key]!r}"
+            else:
+                continue
+            raise RecordFormatError(str(path), record_line(path, ordinal), problem)
     if records[0]["phase"] != "scout":
         raise RecordFormatError(str(path), record_line(path, 1),
                                 "trial log does not open with a scout record")

@@ -203,28 +203,65 @@ class _Loader(yaml.SafeLoader):
             raise yaml.MarkedYAMLError(problem=problem, problem_mark=node.start_mark) from None
 
 
-def _load(text: str) -> tuple[object, dict[tuple, int]]:
-    """The YAML document and each dotted key path's 1-based line, in one loader pass."""
+def _refuse_repeats(node, path: tuple = (), checked: set | None = None) -> None:
+    """Refuse a key given twice in one mapping.
+
+    Runs on the composed nodes, before construction, while each mapping
+    lists only its own keys: a key a `<<` merge brings in may be overridden.
+    Each node is checked once, however many aliases reach it.
+    """
+    checked = set() if checked is None else checked
+    if node in checked:
+        return
+    checked.add(node)
+    if isinstance(node, yaml.SequenceNode):
+        for item in node.value:
+            _refuse_repeats(item, path, checked)
+    elif isinstance(node, yaml.MappingNode):
+        first: dict[str, int] = {}
+        for key_node, value_node in node.value:
+            key, line = str(key_node.value), key_node.start_mark.line + 1
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                _refuse_repeats(value_node, path, checked)
+                continue
+            if key in first:
+                raise RunConfigError(f"key given twice, first on line {first[key]}",
+                                     key=".".join(path + (key,)), line=line)
+            first[key] = line
+            _refuse_repeats(value_node, path + (key,), checked)
+
+
+def _load(text: str) -> tuple[object, yaml.Node | None]:
+    """The YAML document and its root node, in one loader pass."""
     try:
         loader = _Loader(text)
         root = loader.get_single_node()
+        _refuse_repeats(root)
         data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
         raise RunConfigError(f"invalid YAML: {problem}",
                              line=mark.line + 1 if mark else None) from None
-    lines: dict[tuple, int] = {}
+    return data, root
 
-    def walk(node, path):
-        if isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                key_path = path + (str(key_node.value),)
-                lines[key_path] = key_node.start_mark.line + 1
-                walk(value_node, key_path)
 
-    walk(root, ())
-    return data, lines
+def _line_of(node, path: tuple) -> int | None:
+    """1-based line of the key at `path` below `node`, or None if it is not there.
+
+    Construction lists a mapping's merged keys ahead of its own, and the
+    last of equal keys is the one the data holds.
+    """
+    line = None
+    for key in path:
+        if not isinstance(node, yaml.MappingNode):
+            return None
+        pairs = [pair for pair in node.value if str(pair[0].value) == key]
+        if not pairs:
+            return None
+        key_node, node = pairs[-1]
+        line = key_node.start_mark.line + 1
+    return line
 
 
 def _scalar(value, kind):
@@ -239,11 +276,11 @@ def _scalar(value, kind):
 
 
 class _Walker:
-    def __init__(self, lines: dict[tuple, int]):
-        self.lines = lines
+    def __init__(self, root: yaml.Node | None):
+        self.root = root
 
     def fail(self, path: tuple, message: str):
-        raise RunConfigError(message, key=".".join(path), line=self.lines.get(path))
+        raise RunConfigError(message, key=".".join(path), line=_line_of(self.root, path))
 
     def mapping(self, value, path: tuple) -> dict:
         if value is None:
@@ -334,12 +371,12 @@ def _check_mode(config: RunConfig, walker: _Walker) -> None:
 def parse_run_config_text(text: str, mode: str | None = None) -> RunConfig:
     """Parse a run configuration and check the rules of `mode` (by default the
     file's own) on it, so that a mode refuses a bad config before any work."""
-    data, lines = _load(text)
+    data, root = _load(text)
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise RunConfigError("run configuration must be a mapping at the top level")
-    walker = _Walker(lines)
+    walker = _Walker(root)
     config = walker.spec(RunConfig, data)
     config = replace(config, mode=mode or config.mode)
     _check_mode(config, walker)

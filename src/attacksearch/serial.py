@@ -66,8 +66,9 @@ def read_records(path) -> list[dict[str, Any]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordFormatError(str(path), number, f"invalid record: {exc.msg}") from None
+        except ValueError as exc:   # a JSONDecodeError, or an integer too long to convert
+            raise RecordFormatError(str(path), number,
+                                    f"invalid record: {getattr(exc, 'msg', exc)}") from None
         if not isinstance(obj, dict):
             raise RecordFormatError(str(path), number, "record is not an object")
         out.append(obj)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from attacksearch import attacks
 from attacksearch.attacks import (LinearAttackSurface, apply_perturbation, ce_grad,
                                   ce_loss, ce_rows, consistency_grad,
                                   consistency_loss, dlr_denominator, dlr_denominator_rows,
@@ -256,6 +257,82 @@ def test_restarts_keep_best_loss(rng):
                              10, Stream(12).generator())
     assert multi.loss >= single.loss
     assert multi.loss_evals > single.loss_evals
+
+
+def count_calls(monkeypatch, name):
+    """Wrap `attacks.<name>` so each call is counted; returns the count list."""
+    calls = []
+    inner = getattr(attacks, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", [AttackFamily.APGD_CE, AttackFamily.APGD_DLR,
+                                    AttackFamily.FAB])
+@pytest.mark.parametrize("batched", [False, True])
+def test_deterministic_row_family_runs_once_and_charges_restarts(family, batched, rng,
+                                                                 monkeypatch):
+    surface = make_surface()
+    obs = rng.uniform(-0.45, 0.45, size=(5, 16))
+    actions = np.argmax(obs @ surface.logit_map.T, axis=1)
+    steps = [4, 9, 1, 6, 3]
+    if not batched:
+        obs, actions, steps = obs[1], int(actions[1]), steps[1]
+    once = synthesize_delta(surface, obs, actions, config_for(family, epsilon=12), steps,
+                            None)
+    calls = count_calls(monkeypatch, "_row_kernel")
+    thrice = synthesize_delta(surface, obs, actions,
+                              config_for(family, epsilon=12, restarts=3), steps, None)
+    assert len(calls) == 1
+    assert same_bits(thrice.delta, once.delta) and same_bits(thrice.loss, once.loss)
+    assert thrice.loss_evals == 3 * once.loss_evals
+    if batched:
+        assert thrice.row_evals.tolist() == [3 * e for e in once.row_evals.tolist()]
+    else:
+        assert thrice.row_evals is None and isinstance(thrice.loss, float)
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_physcond_runs_once_and_charges_restarts(previous, rng, monkeypatch):
+    surface = make_surface()
+    obs = random_obs(rng)
+    action = int(np.argmax(surface.logits(obs)))
+    prev = (rng.normal(0.0, 0.3, size=6), 2) if previous else (None, None)
+    family = AttackFamily.PHYSCOND_WMA
+    once = synthesize_delta(surface, obs, action, config_for(family, epsilon=12), 9, None,
+                            *prev)
+    calls = count_calls(monkeypatch, "_pgd_point")
+    thrice = synthesize_delta(surface, obs, action,
+                              config_for(family, epsilon=12, restarts=3), 9, None, *prev)
+    assert len(calls) == 1
+    assert same_bits(thrice.delta, once.delta) and same_bits(thrice.loss, once.loss)
+    assert thrice.loss_evals == 3 * once.loss_evals == 3 * (9 + 2)
+
+
+def test_square_restarts_continue_one_generator(rng, monkeypatch):
+    surface = make_surface()
+    obs = random_obs(rng)
+    action = int(np.argmax(surface.logits(obs)))
+    bound = 16 / 255.0
+    gen = Stream(12).generator()
+    runs = [attacks._square_search(surface, obs, action, bound, 10, gen) for _ in range(3)]
+    expected = runs[0]
+    for run in runs[1:]:
+        if run[1] > expected[1]:
+            expected = run
+    calls = count_calls(monkeypatch, "_square_search")
+    gen = Stream(12).generator()
+    result = synthesize_delta(surface, obs, action,
+                              config_for(AttackFamily.SQUARE, epsilon=16, restarts=3),
+                              10, gen)
+    assert len(calls) == 3 and all(call[-1] is gen for call in calls)
+    assert same_bits(result.delta, expected[0]) and result.loss == expected[1]
+    assert result.loss_evals == 3 * (10 + 1)
 
 
 @pytest.mark.parametrize("family", [AttackFamily.APGD_CE, AttackFamily.APGD_DLR,

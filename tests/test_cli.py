@@ -1,10 +1,11 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from attacksearch.cli import main, run
 from attacksearch.memory import AttackMemory
-from attacksearch.serial import dump_record, read_records
+from attacksearch.serial import read_records
 from attacksearch.victims import ResponseSurfaceVictim
 
 
@@ -165,6 +166,19 @@ def test_config_that_does_not_load_exits_2_naming_its_line(tmp_path, capsys, bod
     assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
 
+@pytest.mark.parametrize("body, message", [
+    ("seed: 1\nsearch:\n  budget: 8\n  budget: 16\n",
+     "key given twice, first on line 3 (key 'search.budget', line 4)"),
+    ("search: &s {batch: *s}\n",
+     "expected integer, got {'batch': {...}} (key 'search.batch', line 1)"),
+], ids=["key-given-twice", "self-containing-alias"])
+def test_config_with_a_broken_mapping_exits_2(tmp_path, capsys, body, message):
+    cfg = write_config(tmp_path, body)
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
 @pytest.mark.parametrize("victim", ["{task_seed: -3}", "{kind: linear, weight_seed: -2}"])
 def test_negative_victim_seed_exit_code(tmp_path, capsys, victim):
     cfg = write_config(tmp_path, f"out_dir: {tmp_path}\nvictim: {victim}\n")
@@ -301,10 +315,11 @@ def test_search_refuses_a_memory_file_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
-def trial_line(phase="scout", drop=()) -> str:
+def trial_line(phase="scout", drop=(), **values) -> str:
     record = {"round": 0, "phase": phase, "config": "c1", "D": 0.5, "F": 0.0,
               "T": 1.0, "V": 0.0, "U": 0.5, "episodes": 1, "seed": 0}
-    return dump_record({k: v for k, v in record.items() if k not in drop})
+    record.update(values)
+    return json.dumps({k: v for k, v in record.items() if k not in drop})
 
 
 @pytest.mark.parametrize("lines, bad_line", [
@@ -314,7 +329,23 @@ def trial_line(phase="scout", drop=()) -> str:
     ([], 1),                                             # no record at all
     ([trial_line(), "{oops"], 2),                        # a line that is not JSON
     ([trial_line(), NOT_UTF8.decode("latin-1")], 2),     # a line that is not UTF-8
-], ids=["missing-U", "no-scout", "confirm-first", "empty", "not-json", "not-utf8"])
+    ([trial_line(U="x")], 1),
+    ([trial_line(), trial_line("confirm", T=None)], 2),
+    ([trial_line(episodes="two")], 1),
+    ([trial_line(D=True)], 1),
+    ([trial_line(F=[0.5])], 1),
+    ([trial_line(V=float("nan"))], 1),
+    ([trial_line(U=float("inf"))], 1),
+    ([trial_line(), trial_line(D=10 ** 400)], 2),
+    ([trial_line(), trial_line(D=0).replace('"D": 0', '"D": 1' + "0" * 5000)], 2),
+    ([trial_line(round=1.0)], 1),
+    ([trial_line(seed=False)], 1),
+    ([trial_line(), trial_line("retry")], 2),
+    ([trial_line(config=3)], 1),
+], ids=["missing-U", "no-scout", "confirm-first", "empty", "not-json", "not-utf8",
+        "U-text", "T-null", "episodes-text", "D-bool", "F-list", "V-nan", "U-inf",
+        "D-beyond-float", "D-too-many-digits", "round-real", "seed-bool", "unknown-phase",
+        "config-number"])
 def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
     logs = tmp_path / "logs"
     logs.mkdir()

@@ -249,6 +249,47 @@ def test_budget_batch_rule_names_section_and_line():
     assert (err.value.key, err.value.line) == ("search", 2)
 
 
+@pytest.mark.parametrize("text, key, first, line", [
+    ("seed: 1\nmode: search\nseed: 2\n", "seed", 1, 3),
+    ("search: {budget: 8, budget: 16}\n", "search.budget", 1, 1),
+    ("seed: 1\nsearch:\n  budget: 8\n  batch: 4\n  budget: 16\n", "search.budget", 3, 5),
+    ("space:\n  epsilons:\n    fab: [8]\n    fab: [4]\n", "space.epsilons.fab", 3, 4),
+    ("search:\n  budget: 8\nsearch:\n  batch: 4\n", "search", 1, 3),
+], ids=["top-level", "flow-mapping", "nested", "grid-override", "section"])
+def test_key_given_twice_names_both_lines(text, key, first, line):
+    with pytest.raises(RunConfigError, match=f"key given twice, first on line {first}") as err:
+        parse_run_config_text(text)
+    assert (err.value.key, err.value.line) == (key, line)
+
+
+def test_key_a_merge_brings_in_may_be_overridden():
+    config = parse_run_config_text("<<: {seed: 3, mode: theory}\nseed: 4\n"
+                                   "search:\n  <<: {budget: 8, batch: 2}\n  budget: 16\n")
+    assert (config.seed, config.mode) == (4, "theory")
+    assert (config.search.budget, config.search.batch) == (16, 2)
+
+
+@pytest.mark.parametrize("text, key, line, message", [
+    ("search: &s {batch: *s}\n", "search.batch", 1, "expected integer"),
+    ("search: &s {batch: {<<: *s}}\n", "search.batch", 1, "expected integer"),
+    ("search: &s {batch: {<<: [*s]}}\n", "search.batch", 1, "expected integer"),
+    ("space:\n  families: &f [fab, *f]\n", "space.families", 2, "expected a list"),
+], ids=["alias", "merge", "merge-list", "list"])
+def test_value_that_contains_itself_is_refused(text, key, line, message):
+    with pytest.raises(RunConfigError, match=message) as err:
+        parse_run_config_text(text)
+    assert (err.value.key, err.value.line) == (key, line)
+
+
+def test_aliases_that_repeat_a_mapping_are_read_once():
+    # 2**40 key paths reach x0's mapping; visiting each one would never end
+    text = "x0: &a0 {k: 1}\n" + "".join(f"x{i}: &a{i} {{p: *a{i - 1}, q: *a{i - 1}}}\n"
+                                         for i in range(1, 41))
+    with pytest.raises(RunConfigError, match="unknown key 'x0'") as err:
+        parse_run_config_text(text)
+    assert err.value.line == 1
+
+
 def test_emit_defaults_lists_every_key_once_with_its_default():
     listed, section = [], None
     for line in emit_defaults().splitlines():
