@@ -84,33 +84,22 @@ class AttackConfig:
                 f"alloc={self.allocation.value}")
 
 
-_ENCODE_KEYS = ("family", "eps", "steps", "restarts", "rho", "seed", "alloc")
-
-
 def decode_config(text: str) -> AttackConfig:
-    parts = text.strip().split(";")
-    if len(parts) != len(_ENCODE_KEYS):
-        raise SpaceError(f"expected {len(_ENCODE_KEYS)} fields, got {len(parts)}: {text!r}")
-    values: dict[str, str] = {}
-    for part, key in zip(parts, _ENCODE_KEYS):
-        k, sep, v = part.partition("=")
-        if not sep or k != key:
-            raise SpaceError(f"expected field {key!r}, got {part!r}")
-        values[k] = v
+    """The config whose `encode()` is `text`, surrounding whitespace aside: `encode`
+    alone defines the record, so any other spelling (`eps=08`, `rho=.75`) is refused."""
+    text = text.strip()
     try:
-        family = AttackFamily(values["family"])
-        alloc = AllocationRule(values["alloc"])
+        v = dict(part.split("=", 1) for part in text.split(";"))
+        config = AttackConfig(AttackFamily(v["family"]), int(v["eps"]), int(v["steps"]),
+                              int(v["restarts"]), float(v["rho"]), int(v["seed"]),
+                              AllocationRule(v["alloc"]))
+    except KeyError as exc:
+        raise SpaceError(f"config record {text!r} lacks field {exc}") from None
     except ValueError as exc:
-        raise SpaceError(str(exc)) from None
-    return AttackConfig(
-        family=family,
-        epsilon=int(values["eps"]),
-        steps=int(values["steps"]),
-        restarts=int(values["restarts"]),
-        rho=float(values["rho"]),
-        seed=int(values["seed"]),
-        allocation=alloc,
-    )
+        raise SpaceError(f"bad config record {text!r}: {exc}") from None
+    if config.encode() != text:
+        raise SpaceError(f"config record {text!r} differs from its encoding {config.encode()!r}")
+    return config
 
 
 # Each numeric grid axis: the config field it sets and the values that field takes.

@@ -7,22 +7,28 @@ import sys
 from dataclasses import dataclass
 
 from .configspace import ConfigSpace
+from .rngutil import MAX_SEED
 from .search import SearchHistory
 from .serial import RecordFormatError, read_records, record_line
 
 # Each trial-record field, in logged order: what its value must be, and that
-# rule's name. JSON numbers load as exactly int or float, so `type` keeps
-# booleans out, and the bound refuses NaN, infinities and integers beyond floats.
-_INTEGER = (lambda v: type(v) is int, "an integer")
-_NUMBER = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-           "a finite number")
+# rule's name; the ranges are those `UtilityReport` and the search guarantee.
+# JSON numbers load as exactly int or float, so `type` keeps booleans out, and
+# the finite bounds refuse NaN, infinities and integers beyond floats.
+_MAX = sys.float_info.max
+_FINITE = (lambda v: type(v) in (int, float) and -_MAX <= v <= _MAX, "a finite number")
+_NON_NEGATIVE = (lambda v: type(v) in (int, float) and 0 <= v <= _MAX, "a finite number >= 0")
 _FIELD_RULES = {
-    "round": _INTEGER,
+    "round": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "phase": (lambda v: v in ("scout", "confirm"), "'scout' or 'confirm'"),
     "config": (lambda v: type(v) is str, "a string"),
-    "D": _NUMBER, "F": _NUMBER, "T": _NUMBER, "V": _NUMBER, "U": _NUMBER,
-    "episodes": _INTEGER,
-    "seed": _INTEGER,
+    "D": _FINITE,
+    "F": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "T": _NON_NEGATIVE,
+    "V": _NON_NEGATIVE,
+    "U": _FINITE,
+    "episodes": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: type(v) is int and 0 <= v <= MAX_SEED, "an integer in [0, 2**64 - 1]"),
 }
 TRIAL_FIELDS = tuple(_FIELD_RULES)
 

@@ -35,12 +35,11 @@ class TaskSummary:
     features: np.ndarray     # raw, length FEATURE_LENGTH
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.features, dtype=float)
+        arr = np.array(self.features, dtype=float)   # a copy, made read-only below
         if arr.shape != (FEATURE_LENGTH,):
-            raise ValueError(f"summary must have {FEATURE_LENGTH} features")
+            raise ValueError(f"features must have length {FEATURE_LENGTH}, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("summary features must be finite")
-        arr = arr.copy()
+            raise ValueError("features must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "features", arr)
 
@@ -111,9 +110,9 @@ def similarity(a, b) -> float:
 
 
 @dataclass(frozen=True)
-class MemoryRecord:
-    task_id: str
-    features: np.ndarray     # raw summary vector
+class MemoryRecord(TaskSummary):
+    """A task's summary, the configuration found for it, and its scores."""
+
     config: AttackConfig
     utility: float
     drop: float
@@ -121,19 +120,28 @@ class MemoryRecord:
     timestamp: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.features, dtype=float)
-        if arr.shape != (FEATURE_LENGTH,):
-            raise ValueError(f"features must have length {FEATURE_LENGTH}, "
-                             f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("memory record features must be finite")
+        super().__post_init__()   # the features check
         for name in ("utility", "drop", "flip", "timestamp"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"memory record {name} must be finite, "
-                                 f"got {getattr(self, name)}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "features", arr)
+                raise ValueError(f"memory record {name} must be finite, got {getattr(self, name)}")
+
+
+# A memory-file value's JSON kind: the test it must pass, and its name. JSON
+# numbers load as int or float; a bool is neither.
+_STRING = (lambda v: type(v) is str, "a string")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
+# Each memory-file key, in written order: the MemoryRecord field it holds and
+# its kind. The config is held as its `encode()` record.
+_FILE_KEYS = {
+    "task_id": ("task_id", _STRING),
+    "psi": ("features", _NUMBERS),
+    "config": ("config", _STRING),
+    "utility": ("utility", _NUMBER),
+    "d": ("drop", _NUMBER),
+    "f": ("flip", _NUMBER),
+    "ts": ("timestamp", _NUMBER),
+}
 
 
 @dataclass
@@ -185,36 +193,28 @@ class AttackMemory:
         return scored[:k]
 
     def save(self, path) -> None:
-        records = []
-        for rec in self.records:
-            records.append({
-                "task_id": rec.task_id,
-                "psi": rec.features,
-                "config": rec.config.encode(),
-                "utility": rec.utility,
-                "d": rec.drop,
-                "f": rec.flip,
-                "ts": rec.timestamp,
-            })
-        write_records(path, records)
+        rows = [{key: getattr(rec, name) for key, (name, _) in _FILE_KEYS.items()}
+                for rec in self.records]
+        for row in rows:
+            row["config"] = row["config"].encode()
+        write_records(path, rows)
         self._refresh_normalization()
 
     @classmethod
     def load(cls, path) -> "AttackMemory":
-        rows = read_records(path)
         records = []
-        for number, row in enumerate(rows, start=1):
+        for number, row in enumerate(read_records(path), start=1):
             try:
-                records.append(MemoryRecord(
-                    task_id=str(row["task_id"]),
-                    features=np.asarray(row["psi"], dtype=float),
-                    config=decode_config(str(row["config"])),
-                    utility=float(row["utility"]),
-                    drop=float(row["d"]),
-                    flip=float(row["f"]),
-                    timestamp=float(row["ts"]),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
+                values = {}
+                for key, (name, (holds, kind)) in _FILE_KEYS.items():
+                    if key not in row:
+                        raise ValueError(f"lacks {key!r}")
+                    if not holds(row[key]):
+                        raise ValueError(f"{key!r} must be {kind}, got {row[key]!r}")
+                    values[name] = row[key]
+                values["config"] = decode_config(values["config"])
+                records.append(MemoryRecord(**values))
+            except (ValueError, OverflowError) as exc:   # OverflowError: an integer beyond floats
                 raise RecordFormatError(str(path), record_line(path, number),
                                         f"bad memory record: {exc}") from None
         return cls(records=records)

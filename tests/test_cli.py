@@ -274,16 +274,24 @@ def test_task_family_modes_refuse_linear_victim(tmp_path, capsys, mode):
     assert not memory_path.exists() and not (tmp_path / "out").exists()
 
 
+UTILITY_BOOL = json.dumps({
+    "task_id": "t", "psi": [0.5] * 12, "utility": True, "d": 0.5, "f": 0.0, "ts": 0,
+    "config": "family=apgd-ce;eps=8;steps=10;restarts=1;rho=0.75;seed=0;alloc=fixed"})
+
+
+@pytest.mark.parametrize("body", ["not json", UTILITY_BOOL], ids=["not-json", "utility-bool"])
 @pytest.mark.parametrize("mode", ["search", "bench"])
-def test_corrupt_memory_file_names_file_and_line(tmp_path, capsys, mode):
+def test_corrupt_memory_file_names_file_and_line(tmp_path, capsys, mode, body):
     memory_path = tmp_path / "memory.jsonl"
-    memory_path.write_text("not json\n")
+    memory_path.write_text(body + "\n")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, BENCH.format(out=out, memory=memory_path))
     assert main([mode, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {memory_path}:1: ")
+    assert err.count("\n") == 1
     assert not out.exists()
+    assert memory_path.read_text() == body + "\n"
 
 
 @pytest.mark.parametrize("mode", ["search", "bench", "memory"])
@@ -342,10 +350,21 @@ def trial_line(phase="scout", drop=(), **values) -> str:
     ([trial_line(seed=False)], 1),
     ([trial_line(), trial_line("retry")], 2),
     ([trial_line(config=3)], 1),
+    ([trial_line(), trial_line("confirm", round=-1)], 2),
+    ([trial_line(episodes=0)], 1),
+    ([trial_line(episodes=-3)], 1),
+    ([trial_line(seed=-1)], 1),
+    ([trial_line(seed=2 ** 64)], 1),
+    ([trial_line(F=1.5)], 1),
+    ([trial_line(F=-0.1)], 1),
+    ([trial_line(T=-2.0)], 1),
+    ([trial_line(), trial_line("confirm", V=-0.4)], 2),
 ], ids=["missing-U", "no-scout", "confirm-first", "empty", "not-json", "not-utf8",
         "U-text", "T-null", "episodes-text", "D-bool", "F-list", "V-nan", "U-inf",
         "D-beyond-float", "D-too-many-digits", "round-real", "seed-bool", "unknown-phase",
-        "config-number"])
+        "config-number", "round-negative", "episodes-zero", "episodes-negative",
+        "seed-negative", "seed-beyond-64-bits", "F-above-one", "F-negative", "T-negative",
+        "V-negative"])
 def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
     logs = tmp_path / "logs"
     logs.mkdir()

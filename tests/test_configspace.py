@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
                                       ConfigSpace, FamilyGrid, SpaceError,
                                       decode_config, default_config_space)
+from attacksearch.rngutil import MAX_SEED
 
 
 def brute_force_count(space: ConfigSpace) -> int:
@@ -148,11 +149,35 @@ def test_encode_decode_round_trip(default_space):
         assert decode_config(config.encode()) == config
 
 
-def test_decode_rejects_malformed():
+ENCODED = "family=apgd-ce;eps=8;steps=1;restarts=1;rho=0.75;seed=0;alloc=fixed"
+
+
+@pytest.mark.parametrize("text", [
+    "family=apgd-ce;eps=8",
+    "eps=8;family=apgd-ce;steps=1;restarts=1;rho=0.75;seed=0;alloc=fixed",
+    ENCODED.replace("eps=8", "eps=08"),
+    ENCODED.replace("rho=0.75", "rho=.75"),
+    ENCODED.replace("rho=0.75", "rho=0.750"),
+    ENCODED.replace("seed=0", "seed=+0"),
+    ENCODED + ";seed=0",
+    ENCODED.replace("steps=", "step="),
+], ids=["two-fields", "reordered", "eps-leading-zero", "rho-no-leading-zero",
+        "rho-trailing-zero", "seed-plus-sign", "repeated-field", "misspelled-key"])
+def test_decode_rejects_malformed(text):
+    assert decode_config(ENCODED).encode() == ENCODED
     with pytest.raises(SpaceError):
-        decode_config("family=apgd-ce;eps=8")
-    with pytest.raises(SpaceError):
-        decode_config("eps=8;family=apgd-ce;steps=1;restarts=1;rho=0.75;seed=0;alloc=fixed")
+        decode_config(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(AttackFamily), epsilon=st.integers(0, 255),
+       steps=st.integers(1, 10 ** 6), restarts=st.integers(1, 100),
+       rho=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, MAX_SEED),
+       allocation=st.sampled_from(AllocationRule))
+def test_decode_inverts_encode(family, epsilon, steps, restarts, rho, seed, allocation):
+    config = AttackConfig(family, epsilon, steps, restarts, rho, seed, allocation)
+    assert decode_config(config.encode()) == config
+    assert decode_config(f"  {config.encode()}\n") == config
 
 
 def test_reenumeration_after_round_trip(toy_space):

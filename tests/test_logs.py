@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attacksearch.logs import (TRIAL_FIELDS, best_so_far_curve, threshold_outcome,
-                               trial_records)
+from attacksearch.logs import (TRIAL_FIELDS, best_so_far_curve, read_trial_log,
+                               threshold_outcome, trial_records)
+from attacksearch.rngutil import MAX_SEED
 from attacksearch.serial import (RecordFormatError, dump_record, read_records, record_line,
                                  write_records)
 
@@ -59,7 +60,7 @@ def test_read_records_ends_lines_as_text_mode(tmp_path, newline):
     assert record_line(path, 2) == 3
 
 
-def test_trial_record_fields(surface_victim, surface_baseline, toy_space):
+def test_trial_record_fields(tmp_path, surface_victim, surface_baseline, toy_space):
     from attacksearch import proposal
     from attacksearch.search import SearchParams, run_search
     result = run_search(surface_victim, toy_space,
@@ -69,6 +70,17 @@ def test_trial_record_fields(surface_victim, surface_baseline, toy_space):
     assert all(tuple(r.keys()) == TRIAL_FIELDS for r in records)
     scouts = [r for r in records if r["phase"] == "scout"]
     assert len(scouts) == 6
+    write_records(tmp_path / "trials.jsonl", records)
+    assert read_trial_log(tmp_path / "trials.jsonl") == records
+
+
+def test_read_trial_log_accepts_every_value_in_range(tmp_path):
+    low = dict(scout("c1", -2.5), F=0, T=0, V=0, episodes=1, seed=0)
+    high = dict(confirm("c1", 1e300, rnd=7), F=1, T=1e300, V=1e300, episodes=10 ** 6,
+                seed=MAX_SEED)
+    path = tmp_path / "trials.jsonl"
+    write_records(path, [low, high])
+    assert read_trial_log(path) == [low, high]
 
 
 def test_best_so_far_monotone_and_confirm_never_lowers():

@@ -355,3 +355,35 @@ def test_load_rejects_non_finite_scalars(tmp_path, rng, key, field, bad):
             as err:
         AttackMemory.load(path)
     assert (err.value.path, err.value.line_number) == (str(path), 2)
+
+
+# Hand edits of one record's value into what `save` never writes.
+HAND_EDITS = {
+    "utility-bool": ("utility", lambda old: True),
+    "psi-holds-bool": ("psi", lambda old: old[:3] + [True] + old[4:]),
+    "task_id-number": ("task_id", lambda old: 7),
+    "d-text": ("d", lambda old: "0.5"),
+    "ts-null": ("ts", lambda old: None),
+    "config-number": ("config", lambda old: 3),
+    "config-eps-leading-zero": ("config", lambda old: old.replace("eps=8;", "eps=08;")),
+    "d-beyond-float": ("d", lambda old: 10 ** 400),
+}
+
+
+@pytest.mark.parametrize("edit", HAND_EDITS.values(), ids=HAND_EDITS.keys())
+@pytest.mark.parametrize("blank", [False, True], ids=["no-blank-line", "after-a-blank-line"])
+def test_load_refuses_a_value_save_never_writes(tmp_path, rng, edit, blank):
+    path = tmp_path / "memory.jsonl"
+    build_memory(3, rng).save(path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    key, new = edit
+    rows[1][key] = new(rows[1][key])
+    lines = [json.dumps(row) for row in rows]
+    if blank:
+        lines.insert(1, "")
+    path.write_text("\n".join(lines) + "\n")
+    line = 3 if blank else 2
+    with pytest.raises(RecordFormatError, match=rf"memory\.jsonl:{line}: bad memory record") \
+            as err:
+        AttackMemory.load(path)
+    assert (err.value.path, err.value.line_number) == (str(path), line)
