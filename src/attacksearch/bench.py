@@ -31,7 +31,7 @@ from .runconfig import (METHOD_FULL, METHOD_RANDOM, RunConfig, RunConfigError,
                         build_search_params, build_space, build_victim,
                         build_weights)
 from .search import SearchResult, run_search
-from .serial import write_records
+from .serial import write_records, write_text
 from .theory import theory_checks
 from .victims import surface_task_family
 
@@ -48,12 +48,6 @@ def _fmt(value: float | None, spec: str = ".3f") -> str:
     return "--" if value is None else format(value, spec)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 # ----------------------------------------------------------------------
 # search mode
 # ----------------------------------------------------------------------
@@ -61,10 +55,9 @@ def _write_text(path: Path, text: str) -> None:
 
 def _initial_proposal(victim, space: ConfigSpace, baseline: CleanBaseline,
                       memory: AttackMemory | None, config: RunConfig) -> ProposalDistribution:
-    """Uniform proposal, warm-started from `memory` when there is one and the
-    clean baseline recorded trajectories to summarize."""
+    """Uniform proposal, warm-started from `memory` when there is one."""
     q0 = proposal.uniform(space.size)
-    if memory is None or baseline.batch is None or not baseline.batch.trajectories:
+    if memory is None:
         return q0
     summary = summarize(baseline.batch, victim.task_id, victim.horizon)
     retrieved = memory.retrieve(summary, config.retrieval.top_k)
@@ -93,7 +86,6 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     q0 = _initial_proposal(victim, space, baseline, memory, config)
     result = run_search(victim, space, params, q0, baseline, weights,
                         record_proposals=config.search.dump_proposals)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "trial_log.jsonl", trial_records(result.history, space))
     write_records(out_dir / "result.json",
                   [search_summary_record(result.history, space, result.best_index)])
@@ -101,7 +93,7 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
         write_records(out_dir / "proposals.jsonl",
                       [{"round": i, "q": snap}
                        for i, snap in enumerate(result.history.proposal_snapshots)])
-    if config.victim.dump_trajectories and baseline.batch is not None:
+    if config.victim.dump_trajectories:
         rows = []
         for episode, trace in enumerate(baseline.batch.trajectories):
             for t in range(trace.rewards.size):
@@ -132,7 +124,6 @@ def run_oracle_mode(config: RunConfig, out_dir: Path) -> int:
                              Stream(config.seed, (1,)).generator())
     umap = theory.brute_force_utility(victim, space, baseline, weights,
                                       episodes=episodes or None, seed=config.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["Config,D,F,T,V,U"]
     records = []
     for i, cfg in enumerate(space.configs):
@@ -142,7 +133,7 @@ def run_oracle_mode(config: RunConfig, out_dir: Path) -> int:
         records.append({"config": cfg.encode(), "D": umap.drops[i], "F": umap.flips[i],
                         "T": umap.runtimes[i], "V": umap.variabilities[i],
                         "U": umap.utilities[i]})
-    _write_text(out_dir / "utility_map.csv", "\n".join(rows) + "\n")
+    write_text(out_dir / "utility_map.csv", "\n".join(rows) + "\n")
     write_records(out_dir / "utility_map.jsonl", records)
     print(f"U* = {umap.u_star:.6f} at {umap.best_config.encode()}")
     return 0
@@ -155,7 +146,6 @@ def run_oracle_mode(config: RunConfig, out_dir: Path) -> int:
 
 def run_theory_mode(config: RunConfig, out_dir: Path) -> int:
     rows = theory_checks(config.seed, config.theory, build_weights(config))
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["Check,Value,Bound,Empirical,SE,Verdict"]
     width = max(len(r.name) for r in rows)
     for row in rows:
@@ -165,7 +155,7 @@ def run_theory_mode(config: RunConfig, out_dir: Path) -> int:
         lines.append(",".join([row.name, value, bound, empirical, se, verdict]))
         print(f"{row.name:<{width}}  value={value:>12}  bound={bound:>12}  "
               f"empirical={empirical:>12}  se={se:>10}  {verdict}")
-    _write_text(out_dir / "theory_verdicts.csv", "\n".join(lines) + "\n")
+    write_text(out_dir / "theory_verdicts.csv", "\n".join(lines) + "\n")
     failed = sum(not r.passed for r in rows)
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
     return 1 if failed else 0
@@ -192,9 +182,7 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
         result = run_search(victim, space, params, proposal.uniform(space.size),
                             baseline, weights)
         memory.insert(_memory_record(victim, baseline, result, memory))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     memory.save(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     print(f"memory written: {path} ({len(memory)} records)")
     return 0
 
@@ -224,7 +212,6 @@ def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
         raise RunConfigError(f"{stale[0]} is a trial log this bench run would not rewrite")
     grids = build_space(config).grids
     spaces = {f: ConfigSpace({f: grids[f]}) for f in families}
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i, victim in enumerate(tasks):
         baseline = make_baseline(victim, config.victim.baseline_episodes,
                                  Stream(config.seed, (4, i)).generator())
@@ -264,7 +251,6 @@ class _PairStats:
     best_drop: float
     best_flip: float
     total_seconds: float
-    configs: int
     hit: bool
     trials_to_threshold: int | None
     curve: tuple[float, ...]
@@ -275,11 +261,9 @@ def _pair_stats(task: str, family: str, method: str, records) -> _PairStats:
     best = max(newest.values(), key=lambda r: r["U"])
     outcome = threshold_outcome(records, THRESHOLD_FRACTION)
     total_seconds = sum(r["T"] * r["episodes"] for r in records)
-    configs = sum(1 for r in records if r["phase"] == "scout")
     curve = best_so_far_curve(records).best_after_trial
     return _PairStats(task, family, method, best["U"], best["D"], best["F"],
-                      total_seconds, configs, outcome.hit,
-                      outcome.trials_to_threshold, curve)
+                      total_seconds, outcome.hit, outcome.trials_to_threshold, curve)
 
 
 def collect_pair_stats(log_dir: Path) -> list[_PairStats]:
@@ -313,11 +297,9 @@ def write_report_files(log_dir: Path, out_dir: Path) -> None:
                                      _fmt(best.best_flip), _fmt(best.best_utility),
                                      _fmt(time_total)]))
     for method in methods:
-        if not aggregates[method]:
-            continue
         arr = np.array(aggregates[method])
         summary.append(",".join(["aggregate", method] + [_fmt(v) for v in arr.mean(axis=0)]))
-    _write_text(out_dir / "summary.csv", "\n".join(summary) + "\n")
+    write_text(out_dir / "summary.csv", "\n".join(summary) + "\n")
 
     efficiency = [
         "# Hit Rate: fraction of task-attack pairs whose best-so-far utility reaches "
@@ -335,12 +317,13 @@ def write_report_files(log_dir: Path, out_dir: Path) -> None:
         mean_time = sum(s.total_seconds for s in pairs) / len(pairs)
         efficiency.append(",".join([method, str(len(pairs)), _fmt(hit_rate),
                                     _fmt(trials), _fmt(mean_time)]))
-    _write_text(out_dir / "efficiency.csv", "\n".join(efficiency) + "\n")
+    write_text(out_dir / "efficiency.csv", "\n".join(efficiency) + "\n")
 
     parity = [PARITY_HEADER]
     for s in sorted(stats, key=lambda s: (s.task, s.family, s.method)):
-        parity.append(",".join([s.task, s.family, s.method, str(s.configs)]))
-    _write_text(out_dir / "parity.csv", "\n".join(parity) + "\n")
+        # the curve has one value per scouted config
+        parity.append(",".join([s.task, s.family, s.method, str(len(s.curve))]))
+    write_text(out_dir / "parity.csv", "\n".join(parity) + "\n")
 
     # plot data: mean best-so-far utility after 1, 2, 4, 8, ... trials
     curves = ["# mean best-so-far utility across pairs; curves shorter than a",
@@ -355,11 +338,10 @@ def write_report_files(log_dir: Path, out_dir: Path) -> None:
         for trial in checkpoints:
             values = [s.curve[min(trial, len(s.curve)) - 1] for s in pairs]
             curves.append(f"{method},{trial},{_fmt(float(np.mean(values)))}")
-    _write_text(out_dir / "curves.csv", "\n".join(curves) + "\n")
+    write_text(out_dir / "curves.csv", "\n".join(curves) + "\n")
 
 
 def run_report_mode(config: RunConfig, out_dir: Path) -> int:
-    log_dir = Path(config.out_dir)
-    write_report_files(log_dir, out_dir)
+    write_report_files(Path(config.out_dir), out_dir)
     print(f"report written to {out_dir}")
     return 0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import (run_bench_mode, run_memory_mode, run_oracle_mode,
                     run_report_mode, run_search_mode, run_theory_mode)
-from .runconfig import MODES, RunConfigError, parse_run_config
+from .runconfig import MODES, RunConfigError, non_directory_above, parse_run_config
 from .serial import RecordFormatError
 
 _HANDLERS = {
@@ -42,8 +42,10 @@ def run(argv=None) -> int:
     config = parse_run_config(args.config, args.mode)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
-    return _HANDLERS[args.mode](config, out_dir)
+    key, out = ("--out", args.out) if args.out is not None else ("out_dir", config.out_dir)
+    if blocker := non_directory_above(out):
+        raise RunConfigError(f"output directory is, or lies under, a file: {blocker}", key=key)
+    return _HANDLERS[args.mode](config, Path(out))
 
 
 def main(argv=None) -> int:

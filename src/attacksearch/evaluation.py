@@ -136,7 +136,6 @@ class Evaluation:
 class ScoutConfirmResult:
     scouts: tuple[Evaluation, ...]
     confirms: tuple[Evaluation, ...]
-    episodes_used: int
 
 
 _SCOUT, _CONFIRM = 0, 1
@@ -175,5 +174,4 @@ def scout_confirm(victim, candidates, scout_episodes: int, confirm_episodes: int
                                   child.generator(), weights, phase="confirm")
         confirms.append(Evaluation(report, child.state_u64()))
 
-    episodes_used = len(candidates) * scout_episodes + top_k * confirm_episodes
-    return ScoutConfirmResult(tuple(scouts), tuple(confirms), episodes_used)
+    return ScoutConfirmResult(tuple(scouts), tuple(confirms))

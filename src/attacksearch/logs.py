@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .configspace import ConfigSpace
 from .rngutil import MAX_SEED
 from .search import SearchHistory
-from .serial import RecordFormatError, read_records, record_line
+from .serial import RecordFormatError, read_records
 
 # Each trial-record field, in logged order: what its value must be, and that
 # rule's name; the ranges are those `UtilityReport` and the search guarantee.
@@ -52,25 +52,23 @@ def trial_records(history: SearchHistory, space: ConfigSpace) -> list[dict]:
     return out
 
 
+def _check_trial_record(record: dict, ordinal: int) -> None:
+    for key, (holds, rule) in _FIELD_RULES.items():
+        if key not in record:
+            raise ValueError(f"trial record lacks {key!r}")
+        if not holds(record[key]):
+            raise ValueError(f"trial record {key!r} must be {rule}, got {record[key]!r}")
+    if ordinal == 1 and record["phase"] != "scout":
+        raise ValueError("trial log does not open with a scout record")
+
+
 def read_trial_log(path) -> list[dict]:
     """The records of a trial log. Refuses, as `file:line`, an empty log, a
     record that lacks a `TRIAL_FIELDS` key or holds a value of the wrong
     kind in one, and a log that opens with no scout."""
-    records = read_records(path)
+    records = read_records(path, _check_trial_record)
     if not records:
         raise RecordFormatError(str(path), 1, "trial log is empty")
-    for ordinal, record in enumerate(records, start=1):
-        for key, (holds, rule) in _FIELD_RULES.items():
-            if key not in record:
-                problem = f"trial record lacks {key!r}"
-            elif not holds(record[key]):
-                problem = f"trial record {key!r} must be {rule}, got {record[key]!r}"
-            else:
-                continue
-            raise RecordFormatError(str(path), record_line(path, ordinal), problem)
-    if records[0]["phase"] != "scout":
-        raise RecordFormatError(str(path), record_line(path, 1),
-                                "trial log does not open with a scout record")
     return records
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .configspace import AttackConfig, ConfigSpace, decode_config
 from .proposal import ProposalDistribution
-from .serial import RecordFormatError, read_records, record_line, write_records
+from .serial import read_records, write_records
 from .victims import RolloutBatch
 
 FEATURE_LENGTH = 12
@@ -203,7 +203,8 @@ class AttackMemory:
     @classmethod
     def load(cls, path) -> "AttackMemory":
         records = []
-        for number, row in enumerate(read_records(path), start=1):
+
+        def check(row: dict, ordinal: int) -> None:
             try:
                 values = {}
                 for key, (name, (holds, kind)) in _FILE_KEYS.items():
@@ -215,8 +216,9 @@ class AttackMemory:
                 values["config"] = decode_config(values["config"])
                 records.append(MemoryRecord(**values))
             except (ValueError, OverflowError) as exc:   # OverflowError: an integer beyond floats
-                raise RecordFormatError(str(path), record_line(path, number),
-                                        f"bad memory record: {exc}") from None
+                raise ValueError(f"bad memory record: {exc}") from None
+
+        read_records(path, check)
         return cls(records=records)
 
 

@@ -346,6 +346,12 @@ class _Walker:
         return out
 
 
+def non_directory_above(path) -> Path | None:
+    """The existing non-directory that `path` is or lies under, if any."""
+    found = next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
+    return found if found and not found.is_dir() else None
+
+
 def _check_mode(config: RunConfig, walker: _Walker) -> None:
     """The rules `config.mode` puts on the keys it reads, in the order it reads them."""
     mode, path, path_key = config.mode, config.retrieval.memory_path, ("retrieval", "memory_path")
@@ -362,6 +368,8 @@ def _check_mode(config: RunConfig, walker: _Walker) -> None:
         walker.fail(("victim", "kind"), surface_only)
     if mode in ("search", "bench", "memory") and path and Path(path).is_dir():
         walker.fail(path_key, f"memory path is a directory, not a file: {path}")
+    if mode == "memory" and path and (blocker := non_directory_above(Path(path).parent)):
+        walker.fail(path_key, f"memory path lies under a file, not a directory: {blocker}")
     if mode == "memory" and config.victim.kind != "surface":
         walker.fail(("victim", "kind"), surface_only)
     if mode in ("search", "bench") and path and not Path(path).exists():

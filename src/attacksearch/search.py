@@ -111,7 +111,6 @@ class SearchHistory:
     entries: list[EvalEntry] = field(default_factory=list)
     latest: dict[int, EvalEntry] = field(default_factory=dict)
     best_per_round: list[tuple[int, float]] = field(default_factory=list)
-    episodes_used: int = 0
     virtual_seconds: float = 0.0
     notes: list[str] = field(default_factory=list)
     proposal_snapshots: list[np.ndarray] = field(default_factory=list)
@@ -125,6 +124,10 @@ class SearchHistory:
     def evaluated(self):
         """The indices of every configuration evaluated so far."""
         return self.latest.keys()
+
+    @property
+    def episodes_used(self) -> int:
+        return sum(entry.report.episodes for entry in self.entries)
 
     def best(self) -> EvalEntry:
         """The newest entry of highest utility; ties go to the lowest index,
@@ -161,8 +164,6 @@ def propose_batch(q: ProposalDistribution, b: int, evaluated,
     unevaluated = np.ones(q.size, dtype=bool)
     unevaluated[list(evaluated)] = False
     remaining = np.flatnonzero(unevaluated)
-    if remaining.size == 0:
-        return []
     if remaining.size <= b:
         return [int(i) for i in remaining]
     weights = q.probs[remaining]
@@ -256,8 +257,6 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         batch_budget = min(params.batch_size, budget - len(history.evaluated))
         batch = propose_batch(q, batch_budget, history.evaluated,
                               stream.child(round_index, 0).generator())
-        if not batch:
-            break
         configs = [space.configs[i] for i in batch]
         top_k = min(params.confirm_top_k, len(configs))
         outcome = scout_confirm(victim, configs, params.scout_episodes,
@@ -268,7 +267,6 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
             idx = batch_index[ev.report.config]
             history.record(EvalEntry(round_index, idx, ev.report,
                                      feedback(ev.report, weights), ev.seed))
-        history.episodes_used += outcome.episodes_used
         history.close_round()
         if refine and len(history.evaluated) < budget:
             q_hat = induced_proposal(history, space, params.beta, params.spread)

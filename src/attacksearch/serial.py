@@ -6,9 +6,9 @@ significant digits so that every float round-trips exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -44,19 +44,32 @@ def dump_record(record: dict[str, Any]) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to `path`, making the directories it needs."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def write_records(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dump_record(record))
-            fh.write("\n")
+    write_text(path, "".join(dump_record(record) + "\n" for record in records))
 
 
-def read_records(path) -> list[dict[str, Any]]:
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object; no writer repeats a key, so a repeat is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"repeated key {key!r}")
+    return obj
+
+
+def read_records(path, check=lambda record, ordinal: None) -> list[dict[str, Any]]:
+    """The records of `path`, in order. `check` sees each record as it is read,
+    with its 1-based ordinal; a ValueError or OverflowError it raises is
+    refused at the record's line."""
     out = []
-    with open(path, "rb") as fh:
-        data = fh.read()
     # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
-    for number, raw in enumerate(data.splitlines(), start=1):
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
@@ -65,18 +78,15 @@ def read_records(path) -> list[dict[str, Any]]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except ValueError as exc:   # a JSONDecodeError, or an integer too long to convert
+            obj = json.loads(line, object_pairs_hook=_object)
+        except ValueError as exc:   # bad JSON, a repeated key, or an integer too long to convert
             raise RecordFormatError(str(path), number,
                                     f"invalid record: {getattr(exc, 'msg', exc)}") from None
         if not isinstance(obj, dict):
             raise RecordFormatError(str(path), number, "record is not an object")
         out.append(obj)
+        try:
+            check(obj, len(out))
+        except (ValueError, OverflowError) as exc:   # OverflowError: an integer beyond floats
+            raise RecordFormatError(str(path), number, str(exc)) from None
     return out
-
-
-def record_line(path, ordinal: int) -> int:
-    """File line of the `ordinal`-th (1-based) record `read_records` returns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (number for number, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(lines, ordinal - 1, None))

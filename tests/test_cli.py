@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from attacksearch import bench, cli
 from attacksearch.cli import main, run
 from attacksearch.memory import AttackMemory
+from attacksearch.runconfig import MODES
 from attacksearch.serial import read_records
 from attacksearch.victims import ResponseSurfaceVictim
 
@@ -309,6 +311,57 @@ def test_memory_path_naming_a_directory_is_refused(tmp_path, capsys, mode):
     assert list(memory_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("flag", [True, False], ids=["--out", "out_dir"])
+@pytest.mark.parametrize("mode", MODES)
+def test_output_directory_at_or_under_a_file_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, mode, flag, below):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{mode} mode ran although its output directory cannot be made")
+
+    monkeypatch.setitem(cli._HANDLERS, mode, no_work)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    body = SMALL_SEARCH.format(out=tmp_path / "unused" if flag else out)
+    if mode == "memory":
+        body += "retrieval:\n  memory_path: '%s'\n" % (tmp_path / "memory.jsonl")
+    cfg = write_config(tmp_path, body)
+    argv = [mode, "--config", str(cfg)] + (["--out", str(out)] if flag else [])
+    assert main(argv) == 2
+    key = "--out" if flag else "out_dir"
+    assert capsys.readouterr().err == (f"error: output directory is, or lies under, a file: "
+                                       f"{blocker} (key '{key}')\n")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.yaml"]
+
+
+def test_memory_path_under_a_file_is_refused_before_any_search(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran although the memory file cannot be written")
+
+    monkeypatch.setattr(bench, "run_search", no_search)
+    blocker = tmp_path / "sub"
+    blocker.write_text("kept\n")
+    body = BENCH.format(out=tmp_path / "out", memory=blocker / "memory.jsonl")
+    cfg = write_config(tmp_path, body)
+    assert main(["memory", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: memory path lies under a file, not a directory: {blocker} "
+        f"(key 'retrieval.memory_path', line {line_of(body, 'memory_path:')})\n")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml", "sub"]
+
+
+def test_memory_mode_creates_no_output_directory(tmp_path):
+    out = tmp_path / "out"
+    memory_path = tmp_path / "new" / "memory.jsonl"
+    cfg = write_config(tmp_path, BENCH.format(out=out, memory=memory_path))
+    assert main(["memory", "--config", str(cfg)]) == 0
+    assert not out.exists()
+    assert len(AttackMemory.load(memory_path)) == 4
+
+
 NOT_UTF8 = b"\xff\xfe{\x00\"\x00\n"   # a UTF-16 byte-order mark and text
 
 
@@ -359,12 +412,14 @@ def trial_line(phase="scout", drop=(), **values) -> str:
     ([trial_line(F=-0.1)], 1),
     ([trial_line(T=-2.0)], 1),
     ([trial_line(), trial_line("confirm", V=-0.4)], 2),
+    ([trial_line().replace('"U": 0.5', '"U": 0.5, "U": 9.0')], 1),
+    ([trial_line("confirm"), trial_line(drop=("U",))], 1),   # the first of two faults
 ], ids=["missing-U", "no-scout", "confirm-first", "empty", "not-json", "not-utf8",
         "U-text", "T-null", "episodes-text", "D-bool", "F-list", "V-nan", "U-inf",
         "D-beyond-float", "D-too-many-digits", "round-real", "seed-bool", "unknown-phase",
         "config-number", "round-negative", "episodes-zero", "episodes-negative",
         "seed-negative", "seed-beyond-64-bits", "F-above-one", "F-negative", "T-negative",
-        "V-negative"])
+        "V-negative", "U-repeated", "first-fault"])
 def test_report_refuses_malformed_trial_log(tmp_path, capsys, lines, bad_line):
     logs = tmp_path / "logs"
     logs.mkdir()

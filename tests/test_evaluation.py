@@ -199,7 +199,8 @@ def test_scout_confirm_budget_exact(surface_victim, surface_baseline):
     cands = candidates()
     result = scout_confirm(surface_victim, cands, 2, 5, 3, surface_baseline,
                            Stream(24))
-    assert result.episodes_used == len(cands) * 2 + 3 * 5
+    evaluations = result.scouts + result.confirms
+    assert sum(ev.report.episodes for ev in evaluations) == len(cands) * 2 + 3 * 5
     assert len(result.scouts) == len(cands)
     assert len(result.confirms) == 3
     assert all(ev.report.phase == "scout" for ev in result.scouts)

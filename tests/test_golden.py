@@ -141,8 +141,9 @@ theory:
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, bytes]:
-    """Run one case in `workdir`; every file it wrote, keyed by relative path."""
+def run_case(name: str, workdir: Path, *flags: str) -> dict[str, bytes]:
+    """Run one case in `workdir`, with `flags` added to each mode's command
+    line; every file it wrote, keyed by relative path."""
     modes, body = CASES[name]
     workdir.mkdir(parents=True, exist_ok=True)
     (workdir / "run.yaml").write_text(body)
@@ -150,7 +151,7 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     os.chdir(workdir)
     try:
         for mode in modes:
-            assert main([mode, "--config", "run.yaml"]) == 0
+            assert main([mode, "--config", "run.yaml", *flags]) == 0
     finally:
         os.chdir(cwd)
     return {path.relative_to(workdir).as_posix(): path.read_bytes()
@@ -172,6 +173,12 @@ def test_outputs_match_golden(name, tmp_path):
     assert sorted(produced) == sorted(expected)
     for rel, data in expected.items():
         assert produced[rel] == data, f"{name}/{rel} differs from its golden copy"
+
+
+@pytest.mark.parametrize("name", ["search-noisy", "oracle"])
+def test_fresh_nested_out_dir_gets_the_golden_files(name, tmp_path):
+    produced = run_case(name, tmp_path, "--out", "a/b/out")
+    assert produced == {f"a/b/{rel}": data for rel, data in golden_files(name).items()}
 
 
 def regenerate() -> None:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from attacksearch.logs import (TRIAL_FIELDS, best_so_far_curve, read_trial_log,
                                threshold_outcome, trial_records)
 from attacksearch.rngutil import MAX_SEED
-from attacksearch.serial import (RecordFormatError, dump_record, read_records, record_line,
-                                 write_records)
+from attacksearch.serial import RecordFormatError, dump_record, read_records, write_records
 
 
 def scout(config, u, rnd=0):
@@ -57,7 +56,38 @@ def test_read_records_ends_lines_as_text_mode(tmp_path, newline):
         read_records(path)
     path.write_bytes(newline.join([lines[0], b"", lines[1]]) + newline)
     assert read_records(path) == records
-    assert record_line(path, 2) == 3
+    # a faulty record is refused at its own line, blank lines counted
+    faulty = dump_record(dict(records[1], U="x")).encode()
+    path.write_bytes(newline.join([lines[0], b"", faulty]) + newline)
+    with pytest.raises(RecordFormatError, match=r"records\.jsonl:3: trial record 'U'") as err:
+        read_trial_log(path)
+    assert err.value.line_number == 3
+
+
+def test_read_records_checks_each_record_as_it_is_read(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a":1}\n\n{"a":2}\n{oops\n')
+    seen = []
+
+    def check(record, ordinal):
+        seen.append((record["a"], ordinal))
+        if record["a"] == 2:
+            raise OverflowError("a is too large")
+
+    with pytest.raises(RecordFormatError, match=r"records\.jsonl:3: a is too large$"):
+        read_records(path, check)
+    assert seen == [(1, 1), (2, 2)]   # the bad JSON on line 4 is never reached
+
+
+def test_read_records_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a":1}\n{"U":0.5,"b":{"c":1},"U":9.0}\n')
+    with pytest.raises(RecordFormatError,
+                       match=r"records\.jsonl:2: invalid record: repeated key 'U'$"):
+        read_records(path)
+    path.write_text('{"b":{"c":1,"c":2}}\n')
+    with pytest.raises(RecordFormatError, match=r":1: invalid record: repeated key 'c'$"):
+        read_records(path)
 
 
 def test_trial_record_fields(tmp_path, surface_victim, surface_baseline, toy_space):

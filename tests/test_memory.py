@@ -357,33 +357,58 @@ def test_load_rejects_non_finite_scalars(tmp_path, rng, key, field, bad):
     assert (err.value.path, err.value.line_number) == (str(path), 2)
 
 
-# Hand edits of one record's value into what `save` never writes.
+def set_value(key, new):
+    """A line edit that sets the record's `key` to `new(old value)`."""
+    def edit(line):
+        row = json.loads(line)
+        row[key] = new(row[key])
+        return json.dumps(row)
+    return edit
+
+
+# Hand edits of one record's line into what `save` never writes, and the
+# start of the refusal each one draws.
+BAD_RECORD = "bad memory record"
 HAND_EDITS = {
-    "utility-bool": ("utility", lambda old: True),
-    "psi-holds-bool": ("psi", lambda old: old[:3] + [True] + old[4:]),
-    "task_id-number": ("task_id", lambda old: 7),
-    "d-text": ("d", lambda old: "0.5"),
-    "ts-null": ("ts", lambda old: None),
-    "config-number": ("config", lambda old: 3),
-    "config-eps-leading-zero": ("config", lambda old: old.replace("eps=8;", "eps=08;")),
-    "d-beyond-float": ("d", lambda old: 10 ** 400),
+    "utility-bool": (set_value("utility", lambda old: True), BAD_RECORD),
+    "psi-holds-bool": (set_value("psi", lambda old: old[:3] + [True] + old[4:]), BAD_RECORD),
+    "task_id-number": (set_value("task_id", lambda old: 7), BAD_RECORD),
+    "d-text": (set_value("d", lambda old: "0.5"), BAD_RECORD),
+    "ts-null": (set_value("ts", lambda old: None), BAD_RECORD),
+    "config-number": (set_value("config", lambda old: 3), BAD_RECORD),
+    "config-eps-leading-zero": (
+        set_value("config", lambda old: old.replace("eps=8;", "eps=08;")), BAD_RECORD),
+    "d-beyond-float": (set_value("d", lambda old: 10 ** 400), BAD_RECORD),
+    "task_id-repeated": (lambda line: line.replace("{", '{"task_id": "u", ', 1),
+                         "invalid record: repeated key 'task_id'"),
 }
 
 
-@pytest.mark.parametrize("edit", HAND_EDITS.values(), ids=HAND_EDITS.keys())
-@pytest.mark.parametrize("blank", [False, True], ids=["no-blank-line", "after-a-blank-line"])
-def test_load_refuses_a_value_save_never_writes(tmp_path, rng, edit, blank):
+@pytest.mark.parametrize("edit, refusal", HAND_EDITS.values(), ids=HAND_EDITS.keys())
+@pytest.mark.parametrize("newline, blank", [("\n", False), ("\n", True), ("\r\n", True),
+                                            ("\r", True)],
+                         ids=["no-blank-line", "after-a-blank-line", "after-a-blank-crlf",
+                              "after-a-blank-cr"])
+def test_load_refuses_a_value_save_never_writes(tmp_path, rng, edit, refusal, newline, blank):
     path = tmp_path / "memory.jsonl"
     build_memory(3, rng).save(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    key, new = edit
-    rows[1][key] = new(rows[1][key])
-    lines = [json.dumps(row) for row in rows]
+    lines = path.read_text().splitlines()
+    lines[1] = edit(lines[1])
     if blank:
         lines.insert(1, "")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((newline.join(lines) + newline).encode())
     line = 3 if blank else 2
-    with pytest.raises(RecordFormatError, match=rf"memory\.jsonl:{line}: bad memory record") \
-            as err:
+    with pytest.raises(RecordFormatError, match=rf"memory\.jsonl:{line}: {refusal}") as err:
         AttackMemory.load(path)
     assert (err.value.path, err.value.line_number) == (str(path), line)
+
+
+def test_load_reports_the_first_fault_in_file_order(tmp_path, rng):
+    path = tmp_path / "memory.jsonl"
+    build_memory(3, rng).save(path)
+    lines = path.read_text().splitlines()
+    lines[1] = set_value("utility", lambda old: True)(lines[1])
+    lines[2] = "not json"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordFormatError, match=r"memory\.jsonl:2: bad memory record"):
+        AttackMemory.load(path)

@@ -355,8 +355,9 @@ def test_budget_exactness_and_monotone_best():
     assert len(result.history.evaluated) == 7
     bests = [u for _, u in result.history.best_per_round]
     assert all(b >= a for a, b in zip(bests, bests[1:]))
-    assert result.history.episodes_used == sum(
-        e.report.episodes for e in result.history.entries)
+    # batches of 3, 3 and 1: each scouts 2 episodes a config and confirms its
+    # top min(2, batch) with 5
+    assert result.history.episodes_used == sum(n * 2 + min(2, n) * 5 for n in (3, 3, 1))
 
 
 def test_search_deterministic_trial_logs():
