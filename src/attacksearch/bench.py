@@ -22,8 +22,7 @@ import numpy as np
 from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
 from .evaluation import CleanBaseline, make_baseline
-from .logs import (best_so_far_curve, read_trial_log, search_summary_record,
-                   threshold_outcome, trial_records)
+from .logs import best_so_far_curve, read_trial_log, search_summary_record, trial_records
 from .memory import AttackMemory, MemoryRecord, summarize, warm_start
 from .proposal import ProposalDistribution
 from .rngutil import Stream
@@ -84,8 +83,7 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     baseline = make_baseline(victim, config.victim.baseline_episodes,
                              Stream(config.seed, (1,)).generator())
     q0 = _initial_proposal(victim, space, baseline, memory, config)
-    result = run_search(victim, space, params, q0, baseline, weights,
-                        record_proposals=config.search.dump_proposals)
+    result = run_search(victim, space, params, q0, baseline, weights)
     write_records(out_dir / "trial_log.jsonl", trial_records(result.history, space))
     write_records(out_dir / "result.json",
                   [search_summary_record(result.history, space, result.best_index)])
@@ -259,11 +257,11 @@ class _PairStats:
 def _pair_stats(task: str, family: str, method: str, records) -> _PairStats:
     newest = {rec["config"]: rec for rec in records}
     best = max(newest.values(), key=lambda r: r["U"])
-    outcome = threshold_outcome(records, THRESHOLD_FRACTION)
+    curve = best_so_far_curve(records)
+    outcome = curve.threshold(THRESHOLD_FRACTION)
     total_seconds = sum(r["T"] * r["episodes"] for r in records)
-    curve = best_so_far_curve(records).best_after_trial
-    return _PairStats(task, family, method, best["U"], best["D"], best["F"],
-                      total_seconds, outcome.hit, outcome.trials_to_threshold, curve)
+    return _PairStats(task, family, method, best["U"], best["D"], best["F"], total_seconds,
+                      outcome.hit, outcome.trials_to_threshold, curve.best_after_trial)
 
 
 def collect_pair_stats(log_dir: Path) -> list[_PairStats]:

@@ -73,6 +73,13 @@ def read_trial_log(path) -> list[dict]:
 
 
 @dataclass(frozen=True)
+class ThresholdOutcome:
+    hit: bool
+    trials_to_threshold: int | None    # 1-based trial index, hits only
+    final_best: float
+
+
+@dataclass(frozen=True)
 class TrialCurve:
     """Best-so-far utility after each distinct evaluated configuration."""
 
@@ -82,6 +89,19 @@ class TrialCurve:
     @property
     def trials(self) -> int:
         return len(self.best_after_trial)
+
+    def threshold(self, fraction: float = 0.9) -> ThresholdOutcome:
+        """First trial whose best-so-far reaches fraction * final best.
+
+        Runs whose final best utility is not positive never count as hits
+        (their threshold would reward weaker search).
+        """
+        if self.final_best > 0.0:
+            target = fraction * self.final_best
+            for i, value in enumerate(self.best_after_trial, start=1):
+                if value >= target:
+                    return ThresholdOutcome(True, i, self.final_best)
+        return ThresholdOutcome(False, None, self.final_best)
 
 
 def best_so_far_curve(records) -> TrialCurve:
@@ -104,27 +124,9 @@ def best_so_far_curve(records) -> TrialCurve:
     return TrialCurve(tuple(curve), curve[-1])
 
 
-@dataclass(frozen=True)
-class ThresholdOutcome:
-    hit: bool
-    trials_to_threshold: int | None    # 1-based trial index, hits only
-    final_best: float
-
-
 def threshold_outcome(records, fraction: float = 0.9) -> ThresholdOutcome:
-    """First trial whose best-so-far reaches fraction * final best.
-
-    Runs whose final best utility is not positive never count as hits
-    (their threshold would reward weaker search).
-    """
-    curve = best_so_far_curve(records)
-    if curve.final_best <= 0.0:
-        return ThresholdOutcome(False, None, curve.final_best)
-    target = fraction * curve.final_best
-    for i, value in enumerate(curve.best_after_trial, start=1):
-        if value >= target:
-            return ThresholdOutcome(True, i, curve.final_best)
-    return ThresholdOutcome(False, None, curve.final_best)
+    """The threshold outcome of a trial log's best-so-far curve."""
+    return best_so_far_curve(records).threshold(fraction)
 
 
 def search_summary_record(history: SearchHistory, space: ConfigSpace,

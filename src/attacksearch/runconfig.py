@@ -1,7 +1,8 @@
 """Declarative run configuration: one YAML tree drives every CLI mode.
 
 Every key is declared once, as a spec-dataclass field that carries its
-default, its documentation comment and its constraint. One walker parses
+default, its documentation comment and its constraint; a key that feeds a
+constructor reads its default from the type it builds. One walker parses
 every section from those fields: a key's type is the type of its default,
 unknown keys are rejected, and every violation names the dotted key and
 the line it came from. The rules of the run's mode are checked in the same
@@ -11,7 +12,7 @@ fields, and its text parses back to the all-default config.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -19,8 +20,8 @@ import yaml
 
 from .configspace import AttackFamily, ConfigSpace, default_config_space, grid_problem
 from .evaluation import UtilityWeights
-from .search import SearchParams
-from .victims import LinearWorldModelVictim, surface_task
+from .search import ALPHA_SCHEDULES, SearchParams
+from .victims import HORIZON, LinearWorldModelVictim, ResponseSurfaceVictim, surface_task
 
 MODES = ("search", "oracle", "theory", "bench", "memory", "report")
 METHOD_FULL = "attacksearch"
@@ -85,13 +86,14 @@ class VictimSpec:
     kind: str = _key("surface", "surface | linear", _one_of(("surface", "linear")))
     task_id: str = "task-000"
     task_seed: int = _key(0, check=_at_least(0))
-    noise: float = _key(0.0, "return-noise scale; surface only", _at_least(0))
-    horizon: int = _key(10, check=_at_least(1))
-    action_count: int = _key(6, "surface only", _at_least(1))
-    obs_dim: int = _key(64, "linear only", _at_least(4))
-    latent_dim: int = _key(12, "linear only", _at_least(2))
-    grid_size: int = _key(5, "linear only", _at_least(2))
-    weight_seed: int = _key(0, "linear only", _at_least(0))
+    noise: float = _key(ResponseSurfaceVictim.noise_scale, "return-noise scale; surface only",
+                        _at_least(0))
+    horizon: int = _key(HORIZON, check=_at_least(1))
+    action_count: int = _key(ResponseSurfaceVictim.action_count, "surface only", _at_least(1))
+    obs_dim: int = _key(LinearWorldModelVictim.obs_dim, "linear only", _at_least(4))
+    latent_dim: int = _key(LinearWorldModelVictim.latent_dim, "linear only", _at_least(2))
+    grid_size: int = _key(LinearWorldModelVictim.grid_size, "linear only", _at_least(2))
+    weight_seed: int = _key(LinearWorldModelVictim.weight_seed, "linear only", _at_least(0))
     baseline_episodes: int = _key(3, check=_at_least(1))
     dump_trajectories: bool = False
 
@@ -110,14 +112,14 @@ class SpaceSpec:
 class SearchSpec:
     budget: int = _key(16, "distinct configurations to evaluate")
     batch: int = 4
-    alpha: float = _key(0.5, "proposal update rate", _within(0, 1))
-    alpha_schedule: str = _key("constant", "constant | harmonic",
-                               _one_of(("constant", "harmonic")))
-    beta: float = _key(50.0, "exploitation temperature", _at_least(0))
-    spread: float = _key(2.0, "neighborhood deposit weight", _at_least(0))
-    scout_episodes: int = _key(2, check=_at_least(1))
-    confirm_episodes: int = _key(5, check=_at_least(1))
-    confirm_top_k: int = _key(2, check=_at_least(1))
+    alpha: float = _key(SearchParams.alpha, "proposal update rate", _within(0, 1))
+    alpha_schedule: str = _key(SearchParams.alpha_schedule, " | ".join(ALPHA_SCHEDULES),
+                               _one_of(ALPHA_SCHEDULES))
+    beta: float = _key(SearchParams.beta, "exploitation temperature", _at_least(0))
+    spread: float = _key(SearchParams.spread, "neighborhood deposit weight", _at_least(0))
+    scout_episodes: int = _key(SearchParams.scout_episodes, check=_at_least(1))
+    confirm_episodes: int = _key(SearchParams.confirm_episodes, check=_at_least(1))
+    confirm_top_k: int = _key(SearchParams.confirm_top_k, check=_at_least(1))
     update_memory: bool = False
     dump_proposals: bool = False
 
@@ -135,9 +137,9 @@ class RetrievalSpec:
 
 @dataclass(frozen=True)
 class WeightsSpec:
-    flip: float = _key(0.25, check=_at_least(0))
-    runtime: float = _key(0.15, check=_at_least(0))
-    variability: float = _key(0.05, check=_at_least(0))
+    flip: float = _key(UtilityWeights.flip, check=_at_least(0))
+    runtime: float = _key(UtilityWeights.runtime, check=_at_least(0))
+    variability: float = _key(UtilityWeights.variability, check=_at_least(0))
 
 
 @dataclass(frozen=True)
@@ -432,17 +434,15 @@ def build_victim(config: RunConfig):
 
 
 def build_weights(config: RunConfig) -> UtilityWeights:
-    w = config.weights
-    return UtilityWeights(flip=w.flip, runtime=w.runtime, variability=w.variability)
+    return UtilityWeights(**asdict(config.weights))
 
 
 def build_search_params(config: RunConfig, seed: int | None = None) -> SearchParams:
     s = config.search
     return SearchParams(
-        budget=s.budget, batch_size=s.batch, alpha=s.alpha,
-        alpha_schedule=s.alpha_schedule, beta=s.beta, spread=s.spread,
-        scout_episodes=s.scout_episodes, confirm_episodes=s.confirm_episodes,
-        confirm_top_k=s.confirm_top_k,
+        budget=s.budget, batch_size=s.batch, alpha=s.alpha, alpha_schedule=s.alpha_schedule,
+        beta=s.beta, spread=s.spread, scout_episodes=s.scout_episodes,
+        confirm_episodes=s.confirm_episodes, confirm_top_k=s.confirm_top_k,
         seed=config.seed if seed is None else seed)
 
 

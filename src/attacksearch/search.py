@@ -28,6 +28,7 @@ TAG_WEAK_DROP = "weak-drop"
 TAG_HIGH_COST = "high-cost"
 TAG_UNSTABLE = "unstable-returns"
 TAG_LOW_FLIP = "low-flip"
+ALPHA_SCHEDULES = ("constant", "harmonic")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class SearchParams:
     budget: int
     batch_size: int
     alpha: float = 0.5
-    alpha_schedule: str = "constant"     # "constant" | "harmonic"
+    alpha_schedule: str = ALPHA_SCHEDULES[0]
     beta: float = 50.0                   # exploitation temperature for q-hat
     spread: float = 2.0                  # neighborhood deposit weight
     scout_episodes: int = 2
@@ -79,7 +80,7 @@ class SearchParams:
             raise ValueError("need budget >= batch_size >= 1")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.alpha_schedule not in ("constant", "harmonic"):
+        if self.alpha_schedule not in ALPHA_SCHEDULES:
             raise ValueError(f"unknown alpha schedule: {self.alpha_schedule!r}")
         if self.beta < 0 or self.spread < 0:
             raise ValueError("beta and spread must be >= 0")
@@ -106,13 +107,13 @@ class EvalEntry:
 class SearchHistory:
     """Every evaluation in order (`entries`), and the newest entry of each
     evaluated config index (`latest`): a confirm replaces its scout there,
-    and the induced proposal and the search's best read it."""
+    and the induced proposal and the search's best read it. Each round's
+    proposal array, read-only, is kept by reference in `proposal_snapshots`."""
 
     entries: list[EvalEntry] = field(default_factory=list)
     latest: dict[int, EvalEntry] = field(default_factory=dict)
     best_per_round: list[tuple[int, float]] = field(default_factory=list)
     virtual_seconds: float = 0.0
-    notes: list[str] = field(default_factory=list)
     proposal_snapshots: list[np.ndarray] = field(default_factory=list)
 
     def record(self, entry: EvalEntry) -> None:
@@ -230,30 +231,23 @@ class SearchResult:
 def run_search(victim, space: ConfigSpace, params: SearchParams,
                q0: ProposalDistribution, baseline: CleanBaseline,
                weights: UtilityWeights = DEFAULT_WEIGHTS,
-               refine: bool = True, record_proposals: bool = False) -> SearchResult:
+               refine: bool = True) -> SearchResult:
     """Run the full loop until exactly min(budget, |space|) configs are evaluated.
 
     With refine=False the proposal is never updated (pure sampling from q0),
-    which is the uniform-random baseline when q0 is uniform. With
-    record_proposals=True the proposal vector in force at each round is
-    snapshotted into the history.
+    which is the uniform-random baseline when q0 is uniform.
     """
     if q0.size != space.size:
         raise ProposalError("initial proposal is not aligned with the space")
-    budget = params.budget
-    if budget > space.size:
-        budget = space.size
-    history = SearchHistory()
+    budget = min(params.budget, space.size)
     if budget < params.budget:
-        note = f"budget clamped from {params.budget} to {budget} (space size)"
-        logger.warning(note)
-        history.notes.append(note)
+        logger.warning(f"budget clamped from {params.budget} to {budget} (space size)")
+    history = SearchHistory()
     stream = Stream(params.seed)
     q = q0
     round_index = 0
     while len(history.evaluated) < budget:
-        if record_proposals:
-            history.proposal_snapshots.append(q.probs.copy())
+        history.proposal_snapshots.append(q.probs)
         batch_budget = min(params.batch_size, budget - len(history.evaluated))
         batch = propose_batch(q, batch_budget, history.evaluated,
                               stream.child(round_index, 0).generator())

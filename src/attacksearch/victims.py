@@ -50,6 +50,7 @@ from .configspace import (EPSILON_RANGES, STEPS_RANGES, AllocationRule, AttackCo
 from .rngutil import Stream
 
 THETA_DIM = 8
+HORIZON = 10    # decision points per episode: both victims' default
 # Spread of a family task's theta around its cluster centre.
 TASK_JITTER = 0.02
 
@@ -125,7 +126,7 @@ class ResponseSurfaceVictim:
     task_id: str
     theta: tuple[float, ...]
     noise_scale: float = 0.0
-    horizon: int = 10
+    horizon: int = HORIZON
     action_count: int = 6
 
     def __post_init__(self) -> None:
@@ -286,16 +287,21 @@ class ResponseSurfaceVictim:
         )
 
 
-def surface_task(task_id: str, task_seed: int, noise_scale: float = 0.0,
-                 horizon: int = 10, action_count: int = 6) -> ResponseSurfaceVictim:
+def surface_task(task_id: str, task_seed: int,
+                 noise_scale: float = ResponseSurfaceVictim.noise_scale,
+                 horizon: int = ResponseSurfaceVictim.horizon,
+                 action_count: int = ResponseSurfaceVictim.action_count) -> ResponseSurfaceVictim:
     rng = Stream(task_seed, (101,)).generator()
     theta = tuple(rng.uniform(0.05, 0.95, size=THETA_DIM).tolist())
     return ResponseSurfaceVictim(task_id, theta, noise_scale, horizon, action_count)
 
 
-def surface_task_family(family_seed: int, n_tasks: int, noise_scale: float = 0.0,
-                        n_clusters: int = 5, task_prefix: str = "task", horizon: int = 10,
-                        action_count: int = 6) -> list[ResponseSurfaceVictim]:
+def surface_task_family(family_seed: int, n_tasks: int,
+                        noise_scale: float = ResponseSurfaceVictim.noise_scale,
+                        n_clusters: int = 5, task_prefix: str = "task",
+                        horizon: int = ResponseSurfaceVictim.horizon,
+                        action_count: int = ResponseSurfaceVictim.action_count,
+                        ) -> list[ResponseSurfaceVictim]:
     """Tasks drawn around shared cluster centers.
 
     Tasks in the same cluster have nearly identical theta, hence nearly
@@ -326,7 +332,7 @@ class LinearWorldModelVictim:
     obs_dim: int = 64
     latent_dim: int = 12
     grid_size: int = 5
-    horizon: int = 12
+    horizon: int = HORIZON
     weight_seed: int = 0
 
     action_count: ClassVar[int] = 4    # the gridworld's four moves

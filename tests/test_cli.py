@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,23 @@ def test_search_mode_byte_identical_across_runs(tmp_path):
     assert main(["search", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert (out_a / "trial_log.jsonl").read_bytes() == \
         (out_b / "trial_log.jsonl").read_bytes()
+
+
+def test_search_over_a_smaller_space_reports_the_budget_clamp_on_stderr(tmp_path):
+    """The warning is the only report of the clamp. `cli.main` runs in a fresh
+    interpreter, so that pytest's log capture does not keep it off stderr."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "space:\n  families: [fab]\n  epsilons: {fab: [4]}\n"
+                                 "  steps: {fab: [8]}\nsearch:\n  budget: 4\n  batch: 2\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from attacksearch.cli import main; sys.exit(main())",
+         "search", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "budget clamped from 4 to 2 (space size)\n"
+    assert read_records(out / "result.json")[0]["configs_evaluated"] == 2
 
 
 def test_seed_override_changes_log(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attacksearch import bench, logs
 from attacksearch.logs import (TRIAL_FIELDS, best_so_far_curve, read_trial_log,
                                threshold_outcome, trial_records)
 from attacksearch.rngutil import MAX_SEED
@@ -142,6 +143,22 @@ def test_threshold_negative_final_never_hits():
     assert not outcome.hit
     assert outcome.trials_to_threshold is None
     assert outcome.final_best == -0.1
+
+
+def test_report_builds_each_logs_curve_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(records):
+        calls.append(len(records))
+        return best_so_far_curve(records)
+    monkeypatch.setattr(logs, "best_so_far_curve", counted)
+    monkeypatch.setattr(bench, "best_so_far_curve", counted)
+    for method in ("random", "attacksearch"):
+        write_records(tmp_path / f"trials__task-000__fab__{method}.jsonl",
+                      [scout("a", 0.3), scout("b", 0.5), confirm("b", 0.6)])
+    stats = bench.collect_pair_stats(tmp_path)
+    assert calls == [3, 3]
+    assert [(s.hit, s.trials_to_threshold, s.curve) for s in stats] == [(True, 2, (0.3, 0.6))] * 2
 
 
 def test_threshold_requires_scouts():

@@ -1,13 +1,15 @@
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 import yaml
 
 from attacksearch.configspace import AttackFamily
-from attacksearch.runconfig import (RunConfig, RunConfigError, build_space,
-                                    build_victim, build_weights, emit_defaults,
-                                    parse_run_config, parse_run_config_text)
-from attacksearch.victims import ResponseSurfaceVictim
+from attacksearch.evaluation import UtilityWeights
+from attacksearch.runconfig import (RunConfig, RunConfigError, build_search_params,
+                                    build_space, build_victim, build_weights,
+                                    emit_defaults, parse_run_config, parse_run_config_text)
+from attacksearch.search import SearchParams
+from attacksearch.victims import LinearWorldModelVictim, ResponseSurfaceVictim, surface_task
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -95,6 +97,27 @@ def test_build_victim_kinds():
     linear = build_victim(parse_run_config_text(
         "victim:\n  kind: linear\n  horizon: 6\n"))
     assert linear.horizon == 6
+
+
+def assert_same_fields(built, expected):
+    assert type(built) is type(expected)
+    assert asdict(built) == asdict(expected)
+
+
+def test_default_surface_victim_is_the_constructors_default():
+    victim = RunConfig().victim
+    assert_same_fields(build_victim(RunConfig()), surface_task(victim.task_id, victim.task_seed))
+
+
+def test_default_linear_victim_is_the_constructors_default():
+    config = parse_run_config_text("victim:\n  kind: linear\n")
+    assert_same_fields(build_victim(config), LinearWorldModelVictim(config.victim.task_id))
+    assert build_victim(config).horizon == LinearWorldModelVictim("t").horizon == 10
+
+
+def test_default_search_params_and_weights_are_the_constructors_defaults():
+    assert_same_fields(build_search_params(RunConfig()), SearchParams(budget=16, batch_size=4))
+    assert_same_fields(build_weights(RunConfig()), UtilityWeights())
 
 
 def test_build_weights():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -336,14 +337,16 @@ def test_budget_one_single_evaluation():
     assert result.history.rounds == 1
 
 
-def test_budget_clamped_with_note():
+def test_budget_clamped_with_warning(caplog):
     space = search_space(eps=(2, 4), steps=(4,))
     victim = small_victim()
     baseline = make_baseline_for(victim)
     params = SearchParams(budget=50, batch_size=4, seed=1)
-    result = run_search(victim, space, params, proposal.uniform(space.size), baseline)
+    with caplog.at_level(logging.WARNING, logger="attacksearch.search"):
+        result = run_search(victim, space, params, proposal.uniform(space.size), baseline)
     assert len(result.history.evaluated) == space.size
-    assert any("clamped" in note for note in result.history.notes)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"budget clamped from 50 to {space.size} (space size)"]
 
 
 def test_budget_exactness_and_monotone_best():
@@ -389,11 +392,28 @@ def test_refine_false_never_updates_proposal():
     victim = small_victim(seed=12)
     baseline = make_baseline_for(victim)
     params = SearchParams(budget=8, batch_size=4, seed=3)
-    result = run_search(victim, space, params, proposal.uniform(space.size), baseline,
-                        refine=False, record_proposals=True)
+    q0 = proposal.uniform(space.size)
+    result = run_search(victim, space, params, q0, baseline, refine=False)
     snaps = result.history.proposal_snapshots
-    assert len(snaps) == 2
-    assert np.array_equal(snaps[0], snaps[1])
+    assert len(snaps) == result.history.rounds == 2
+    assert all(snap is q0.probs for snap in snaps)
+
+
+def test_refining_search_keeps_each_round_proposal_read_only():
+    space = search_space()
+    victim = small_victim(seed=12)
+    baseline = make_baseline_for(victim)
+    params = SearchParams(budget=10, batch_size=3, seed=3)
+    q0 = proposal.uniform(space.size)
+    result = run_search(victim, space, params, q0, baseline)
+    snaps = result.history.proposal_snapshots
+    assert len(snaps) == result.history.rounds == 4
+    assert snaps[0] is q0.probs
+    assert not any(np.array_equal(a, b) for a, b in zip(snaps, snaps[1:]))
+    for snap in snaps:
+        assert not snap.flags.writeable
+        with pytest.raises(ValueError):
+            snap[0] = 1.0
 
 
 def test_alpha_schedules():
