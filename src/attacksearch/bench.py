@@ -23,7 +23,7 @@ from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
 from .evaluation import CleanBaseline, make_baseline
 from .logs import best_so_far_curve, read_trial_log, search_summary_record, trial_records
-from .memory import AttackMemory, MemoryRecord, summarize, warm_start
+from .memory import AttackMemory, MemoryRecord, TaskSummary, summarize, warm_start
 from .proposal import ProposalDistribution
 from .rngutil import Stream
 from .runconfig import (METHOD_FULL, METHOD_RANDOM, RunConfig, RunConfigError,
@@ -52,22 +52,20 @@ def _fmt(value: float | None, spec: str = ".3f") -> str:
 # ----------------------------------------------------------------------
 
 
-def _initial_proposal(victim, space: ConfigSpace, baseline: CleanBaseline,
-                      memory: AttackMemory | None, config: RunConfig) -> ProposalDistribution:
-    """Uniform proposal, warm-started from `memory` when there is one."""
+def _task_summary(victim, baseline: CleanBaseline) -> TaskSummary:
+    return summarize(baseline.batch, victim.task_id, victim.horizon)
+
+
+def _initial_proposal(space: ConfigSpace, retrieved, strength: float) -> ProposalDistribution:
+    """Uniform proposal, warm-started from the `retrieved` memory records unless None."""
     q0 = proposal.uniform(space.size)
-    if memory is None:
-        return q0
-    summary = summarize(baseline.batch, victim.task_id, victim.horizon)
-    retrieved = memory.retrieve(summary, config.retrieval.top_k)
-    return warm_start(q0, retrieved, config.retrieval.strength, space).distribution
+    return q0 if retrieved is None else warm_start(q0, retrieved, strength, space).distribution
 
 
-def _memory_record(victim, baseline: CleanBaseline, result: SearchResult,
+def _memory_record(summary: TaskSummary, result: SearchResult,
                    memory: AttackMemory) -> MemoryRecord:
     """The record of a finished search, timestamped to go next into `memory`."""
-    summary = summarize(baseline.batch, victim.task_id, victim.horizon)
-    return MemoryRecord(task_id=victim.task_id, features=summary.features,
+    return MemoryRecord(task_id=summary.task_id, features=summary.features,
                         config=result.best_config, utility=result.best_report.utility,
                         drop=result.best_report.drop, flip=result.best_report.flip,
                         timestamp=memory.next_timestamp())
@@ -82,7 +80,9 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     params = build_search_params(config)
     baseline = make_baseline(victim, config.victim.baseline_episodes,
                              Stream(config.seed, (1,)).generator())
-    q0 = _initial_proposal(victim, space, baseline, memory, config)
+    summary = _task_summary(victim, baseline) if memory is not None else None
+    retrieved = memory.retrieve(summary, config.retrieval.top_k) if memory is not None else None
+    q0 = _initial_proposal(space, retrieved, config.retrieval.strength)
     result = run_search(victim, space, params, q0, baseline, weights)
     write_records(out_dir / "trial_log.jsonl", trial_records(result.history, space))
     write_records(out_dir / "result.json",
@@ -101,7 +101,7 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
                              "margin": float(trace.margins[t])})
         write_records(out_dir / "trajectories.jsonl", rows)
     if config.search.update_memory:
-        memory.insert(_memory_record(victim, baseline, result, memory))
+        memory.insert(_memory_record(summary, result, memory))
         memory.save(path)
     print(f"best {result.best_config.encode()}  U={result.best_report.utility:.6f}  "
           f"configs={len(result.history.evaluated)}  episodes={result.history.episodes_used}")
@@ -179,7 +179,7 @@ def run_memory_mode(config: RunConfig, out_dir: Path) -> int:
         params = build_search_params(config, seed=Stream(config.seed, (3, i)).state_u64())
         result = run_search(victim, space, params, proposal.uniform(space.size),
                             baseline, weights)
-        memory.insert(_memory_record(victim, baseline, result, memory))
+        memory.insert(_memory_record(_task_summary(victim, baseline), result, memory))
     memory.save(path)
     print(f"memory written: {path} ({len(memory)} records)")
     return 0
@@ -213,13 +213,15 @@ def run_bench_mode(config: RunConfig, out_dir: Path) -> int:
     for i, victim in enumerate(tasks):
         baseline = make_baseline(victim, config.victim.baseline_episodes,
                                  Stream(config.seed, (4, i)).generator())
+        retrieved = (memory.retrieve(_task_summary(victim, baseline), config.retrieval.top_k)
+                     if memory is not None and METHOD_FULL in methods else None)
         for family in families:
             space = spaces[family]
             scouts = set()
             for method in methods:
                 seed = Stream(config.seed, (5, i, family.rank, methods.index(method))).state_u64()
-                q0 = _initial_proposal(victim, space, baseline,
-                                       memory if method == METHOD_FULL else None, config)
+                q0 = _initial_proposal(space, retrieved if method == METHOD_FULL else None,
+                                       config.retrieval.strength)
                 result = run_search(victim, space, build_search_params(config, seed=seed), q0,
                                     baseline, weights, refine=method != METHOD_RANDOM)
                 records = trial_records(result.history, space)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,11 +50,23 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one mode; library warnings print as `warning: ...` lines on stderr."""
+    logger = logging.getLogger("attacksearch")
+    level, propagate = logger.level, logger.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    logger.propagate = False
     try:
         return run(argv)
     except (RunConfigError, RecordFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import AttackConfig
+from .configspace import AttackConfig, ConfigSpace
 from .rngutil import Stream
 from .victims import RolloutBatch
 
@@ -44,7 +44,6 @@ class CleanBaseline:
 
 @dataclass(frozen=True)
 class UtilityReport:
-    config: AttackConfig
     drop: float
     flip: float
     runtime: float       # per-episode virtual seconds
@@ -121,57 +120,48 @@ def estimate_utility(victim, config: AttackConfig, episodes: int,
     runtime = batch.elapsed_virtual / episodes
     var = variability(returns, baseline.j_clean)
     utility = scalarize(drop, flip, runtime, var, weights)
-    return UtilityReport(config=config, drop=drop, flip=flip, runtime=runtime,
+    return UtilityReport(drop=drop, flip=flip, runtime=runtime,
                          variability=var, utility=utility, episodes=episodes,
                          phase=phase)
 
 
 @dataclass(frozen=True)
 class Evaluation:
+    index: int           # the evaluated config's index in the space
     report: UtilityReport
     seed: int            # logged stream fingerprint for this evaluation
-
-
-@dataclass(frozen=True)
-class ScoutConfirmResult:
-    scouts: tuple[Evaluation, ...]
-    confirms: tuple[Evaluation, ...]
 
 
 _SCOUT, _CONFIRM = 0, 1
 
 
-def scout_confirm(victim, candidates, scout_episodes: int, confirm_episodes: int,
-                  top_k: int, baseline: CleanBaseline, stream: Stream,
-                  weights: UtilityWeights = DEFAULT_WEIGHTS) -> ScoutConfirmResult:
-    """Scout every candidate cheaply, then re-evaluate the best few.
+def scout_confirm(victim, space: ConfigSpace, batch: list[int], scout_episodes: int,
+                  confirm_episodes: int, top_k: int, baseline: CleanBaseline, stream: Stream,
+                  weights: UtilityWeights = DEFAULT_WEIGHTS) -> tuple[Evaluation, ...]:
+    """Scout each config index in `batch` cheaply, then confirm the best `top_k`.
 
-    Consumes exactly len(candidates) * scout_episodes
-    + top_k * confirm_episodes episodes.
+    Returns the scouts in batch order, then the confirms best first, ties going
+    to the lower index (the lower `sort_key`). Consumes exactly
+    len(batch) * scout_episodes + top_k * confirm_episodes episodes.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
+    if not batch:
+        raise ValueError("batch must be non-empty")
     if scout_episodes < 1 or confirm_episodes < 1:
         raise ValueError("episode counts must be >= 1")
-    if not (1 <= top_k <= len(candidates)):
-        raise ValueError(f"top_k must lie in [1, {len(candidates)}], got {top_k}")
+    if not (1 <= top_k <= len(batch)):
+        raise ValueError(f"top_k must lie in [1, {len(batch)}], got {top_k}")
 
-    scouts = []
-    for i, config in enumerate(candidates):
+    evaluations = []
+    for i, index in enumerate(batch):
         child = stream.child(_SCOUT, i)
-        report = estimate_utility(victim, config, scout_episodes, baseline,
+        report = estimate_utility(victim, space.configs[index], scout_episodes, baseline,
                                   child.generator(), weights, phase="scout")
-        scouts.append(Evaluation(report, child.state_u64()))
+        evaluations.append(Evaluation(index, report, child.state_u64()))
 
-    ranked = sorted(range(len(candidates)),
-                    key=lambda i: (-scouts[i].report.utility,
-                                   candidates[i].sort_key()))
-    confirms = []
-    for j, i in enumerate(ranked[:top_k]):
+    ranked = sorted(evaluations, key=lambda ev: (-ev.report.utility, ev.index))
+    for j, scout in enumerate(ranked[:top_k]):
         child = stream.child(_CONFIRM, j)
-        report = estimate_utility(victim, candidates[i], confirm_episodes, baseline,
-                                  child.generator(), weights, phase="confirm")
-        confirms.append(Evaluation(report, child.state_u64()))
-
-    return ScoutConfirmResult(tuple(scouts), tuple(confirms))
+        report = estimate_utility(victim, space.configs[scout.index], confirm_episodes,
+                                  baseline, child.generator(), weights, phase="confirm")
+        evaluations.append(Evaluation(scout.index, report, child.state_u64()))
+    return tuple(evaluations)

@@ -86,10 +86,6 @@ class TrialCurve:
     best_after_trial: tuple[float, ...]
     final_best: float
 
-    @property
-    def trials(self) -> int:
-        return len(self.best_after_trial)
-
     def threshold(self, fraction: float = 0.9) -> ThresholdOutcome:
         """First trial whose best-so-far reaches fraction * final best.
 

@@ -113,13 +113,11 @@ class SearchHistory:
     entries: list[EvalEntry] = field(default_factory=list)
     latest: dict[int, EvalEntry] = field(default_factory=dict)
     best_per_round: list[tuple[int, float]] = field(default_factory=list)
-    virtual_seconds: float = 0.0
     proposal_snapshots: list[np.ndarray] = field(default_factory=list)
 
     def record(self, entry: EvalEntry) -> None:
         self.entries.append(entry)
         self.latest[entry.config_index] = entry
-        self.virtual_seconds += entry.report.runtime * entry.report.episodes
 
     @property
     def evaluated(self):
@@ -129,6 +127,13 @@ class SearchHistory:
     @property
     def episodes_used(self) -> int:
         return sum(entry.report.episodes for entry in self.entries)
+
+    @property
+    def virtual_seconds(self) -> float:
+        total = 0.0   # charged in order: `sum` compensates rounding from Python 3.12 on
+        for entry in self.entries:
+            total += entry.report.runtime * entry.report.episodes
+        return total
 
     def best(self) -> EvalEntry:
         """The newest entry of highest utility; ties go to the lowest index,
@@ -221,11 +226,8 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
 class SearchResult:
     best_report: UtilityReport
     best_index: int
+    best_config: AttackConfig
     history: SearchHistory
-
-    @property
-    def best_config(self) -> AttackConfig:
-        return self.best_report.config
 
 
 def run_search(victim, space: ConfigSpace, params: SearchParams,
@@ -251,15 +253,11 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         batch_budget = min(params.batch_size, budget - len(history.evaluated))
         batch = propose_batch(q, batch_budget, history.evaluated,
                               stream.child(round_index, 0).generator())
-        configs = [space.configs[i] for i in batch]
-        top_k = min(params.confirm_top_k, len(configs))
-        outcome = scout_confirm(victim, configs, params.scout_episodes,
+        top_k = min(params.confirm_top_k, len(batch))
+        for ev in scout_confirm(victim, space, batch, params.scout_episodes,
                                 params.confirm_episodes, top_k, baseline,
-                                stream.child(round_index, 1), weights)
-        batch_index = dict(zip(configs, batch))
-        for ev in outcome.scouts + outcome.confirms:
-            idx = batch_index[ev.report.config]
-            history.record(EvalEntry(round_index, idx, ev.report,
+                                stream.child(round_index, 1), weights):
+            history.record(EvalEntry(round_index, ev.index, ev.report,
                                      feedback(ev.report, weights), ev.seed))
         history.close_round()
         if refine and len(history.evaluated) < budget:
@@ -268,4 +266,4 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         round_index += 1
     best = history.best()
     return SearchResult(best_report=best.report, best_index=best.config_index,
-                        history=history)
+                        best_config=space.configs[best.config_index], history=history)

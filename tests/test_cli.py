@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -63,12 +64,16 @@ def test_search_mode_byte_identical_across_runs(tmp_path):
         (out_b / "trial_log.jsonl").read_bytes()
 
 
+CLAMP_SEARCH = ("space:\n  families: [fab]\n  epsilons: {fab: [4]}\n  steps: {fab: [8]}\n"
+                "search:\n  budget: 4\n  batch: 2\n")
+CLAMP_WARNING = "warning: budget clamped from 4 to 2 (space size)\n"
+
+
 def test_search_over_a_smaller_space_reports_the_budget_clamp_on_stderr(tmp_path):
     """The warning is the only report of the clamp. `cli.main` runs in a fresh
-    interpreter, so that pytest's log capture does not keep it off stderr."""
+    interpreter, as the console script runs it."""
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, "space:\n  families: [fab]\n  epsilons: {fab: [4]}\n"
-                                 "  steps: {fab: [8]}\nsearch:\n  budget: 4\n  batch: 2\n")
+    cfg = write_config(tmp_path, CLAMP_SEARCH)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -76,8 +81,26 @@ def test_search_over_a_smaller_space_reports_the_budget_clamp_on_stderr(tmp_path
          "search", "--config", str(cfg), "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "budget clamped from 4 to 2 (space size)\n"
+    assert proc.stderr == CLAMP_WARNING
     assert read_records(out / "result.json")[0]["configs_evaluated"] == 2
+
+
+def test_in_process_search_prints_the_clamp_warning_under_a_quiet_root_logger(tmp_path, capsys):
+    """A root logger at ERROR, as `logging.basicConfig(level=logging.ERROR)` leaves
+    it, does not hide the warning; `main` restores the package logger, so
+    repeated calls print one line each."""
+    cfg = write_config(tmp_path, CLAMP_SEARCH)
+    root, package = logging.getLogger(), logging.getLogger("attacksearch")
+    before = (list(package.handlers), package.level, package.propagate)
+    root_level = root.level
+    root.setLevel(logging.ERROR)
+    try:
+        for _ in range(2):
+            assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            assert capsys.readouterr().err == CLAMP_WARNING
+            assert (list(package.handlers), package.level, package.propagate) == before
+    finally:
+        root.setLevel(root_level)
 
 
 def test_seed_override_changes_log(tmp_path):

@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
@@ -89,10 +89,31 @@ def test_enumerate_singleton():
     assert len(space.configs) == 1
 
 
-def test_enumerate_canonical_order(default_space):
-    configs = default_space.configs
-    keys = [c.sort_key() for c in configs]
-    assert keys == sorted(keys)
+@st.composite
+def canonical_order_spaces(draw):
+    """1-3 families in any subset, 1-3 values on every axis, one or both allocations."""
+    def axis(values):
+        return tuple(sorted(draw(st.sets(values, min_size=1, max_size=3))))
+
+    families = draw(st.sets(st.sampled_from(list(AttackFamily)), min_size=1, max_size=3))
+    return ConfigSpace(grids={family: FamilyGrid(
+        epsilons=axis(st.integers(0, 30)), steps=axis(st.integers(1, 40)),
+        restarts=axis(st.integers(1, 4)), rhos=axis(st.sampled_from([0.25, 0.5, 0.75, 1.0])),
+        seeds=axis(st.integers(0, 5)),
+        allocations=draw(st.sampled_from([(AllocationRule.FIXED,),
+                                          (AllocationRule.MARGIN_LINEAR,),
+                                          tuple(AllocationRule)])))
+        for family in families})
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=canonical_order_spaces())
+@example(space=default_config_space())
+def test_enumerate_canonical_order(space):
+    """Index order is `sort_key` order, and no two keys are equal: scout-confirm
+    breaks utility ties by index on that ground."""
+    keys = [c.sort_key() for c in space.configs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_empty_grid_names_field():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from attacksearch.configspace import AllocationRule, AttackConfig, AttackFamily
+from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
+                                      ConfigSpace, FamilyGrid)
 from attacksearch.evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityWeights,
                                      estimate_utility, make_baseline, reward_drop,
                                      scalarize, scout_confirm, variability)
@@ -191,50 +192,73 @@ def test_victim_failure_carries_config(surface_baseline):
 # ---------------------------------------------------------------- scout-confirm
 
 
-def candidates():
-    return [cfg(epsilon=e, steps=s) for e in (4, 8, 12) for s in (4, 10)]
+def candidate_space(epsilons=(4, 8, 12), steps=(4, 10), seeds=(0,)):
+    """APGD-CE configs like `cfg`'s, fixed allocation; indices run in
+    (epsilon, steps, seed) order."""
+    return ConfigSpace({AttackFamily.APGD_CE: FamilyGrid(
+        epsilons=epsilons, steps=steps, seeds=seeds, allocations=(AllocationRule.FIXED,))})
+
+
+def split(evaluations, batch):
+    return evaluations[:len(batch)], evaluations[len(batch):]
 
 
 def test_scout_confirm_budget_exact(surface_victim, surface_baseline):
-    cands = candidates()
-    result = scout_confirm(surface_victim, cands, 2, 5, 3, surface_baseline,
-                           Stream(24))
-    evaluations = result.scouts + result.confirms
-    assert sum(ev.report.episodes for ev in evaluations) == len(cands) * 2 + 3 * 5
-    assert len(result.scouts) == len(cands)
-    assert len(result.confirms) == 3
-    assert all(ev.report.phase == "scout" for ev in result.scouts)
-    assert all(ev.report.phase == "confirm" for ev in result.confirms)
+    space = candidate_space()
+    batch = [3, 0, 5, 1, 4, 2]
+    evaluations = scout_confirm(surface_victim, space, batch, 2, 5, 3, surface_baseline,
+                                Stream(24))
+    scouts, confirms = split(evaluations, batch)
+    assert sum(ev.report.episodes for ev in evaluations) == len(batch) * 2 + 3 * 5
+    assert [ev.index for ev in scouts] == batch
+    assert len(confirms) == 3
+    assert all(ev.report.phase == "scout" for ev in scouts)
+    assert all(ev.report.phase == "confirm" for ev in confirms)
+    scout_u = {ev.index: ev.report.utility for ev in scouts}
+    assert [ev.index for ev in confirms] == sorted(batch, key=lambda i: (-scout_u[i], i))[:3]
 
 
 def test_scout_confirm_exhaustive_top_k(surface_victim, surface_baseline):
-    cands = candidates()
-    result = scout_confirm(surface_victim, cands, 1, 2, len(cands), surface_baseline,
-                           Stream(25))
-    assert {ev.report.config for ev in result.confirms} == set(cands)
+    space = candidate_space()
+    batch = list(range(space.size))
+    evaluations = scout_confirm(surface_victim, space, batch, 1, 2, len(batch),
+                                surface_baseline, Stream(25))
+    _, confirms = split(evaluations, batch)
+    assert sorted(ev.index for ev in confirms) == batch
 
 
 def test_scout_confirm_noiseless_ranking_stable(surface_victim, surface_baseline):
-    cands = candidates()
-    result = scout_confirm(surface_victim, cands, 2, 5, len(cands), surface_baseline,
-                           Stream(26))
-    scout_rank = sorted(result.scouts, key=lambda ev: -ev.report.utility)
-    confirm_by_config = {ev.report.config: ev.report.utility for ev in result.confirms}
-    confirm_rank = sorted(result.scouts,
-                          key=lambda ev: -confirm_by_config[ev.report.config])
-    assert [ev.report.config for ev in scout_rank] == \
-        [ev.report.config for ev in confirm_rank]
+    space = candidate_space()
+    batch = list(range(space.size))
+    scouts, confirms = split(scout_confirm(surface_victim, space, batch, 2, 5, len(batch),
+                                           surface_baseline, Stream(26)), batch)
+    scout_rank = sorted(scouts, key=lambda ev: -ev.report.utility)
+    confirm_by_index = {ev.index: ev.report.utility for ev in confirms}
+    confirm_rank = sorted(scouts, key=lambda ev: -confirm_by_index[ev.index])
+    assert [ev.index for ev in scout_rank] == [ev.index for ev in confirm_rank]
+
+
+@pytest.mark.parametrize("batch", [[0, 1], [1, 0]])
+def test_scout_confirm_tie_goes_to_the_lower_index(surface_victim, surface_baseline, batch):
+    """The surface ignores the config seed, so the two configs score bit-equal;
+    the lower index, which is the lower `sort_key`, is confirmed."""
+    space = candidate_space(epsilons=(8,), steps=(6,), seeds=(0, 7))
+    assert space.configs[0].sort_key() < space.configs[1].sort_key()
+    scouts, confirms = split(scout_confirm(surface_victim, space, batch, 2, 5, 1,
+                                           surface_baseline, Stream(27)), batch)
+    assert scouts[0].report.utility == scouts[1].report.utility
+    assert [ev.index for ev in confirms] == [0]
 
 
 def test_scout_confirm_argument_validation(surface_victim, surface_baseline):
+    space = candidate_space()
+    batch = list(range(space.size))
     with pytest.raises(ValueError):
-        scout_confirm(surface_victim, [], 1, 1, 1, surface_baseline, Stream(1))
+        scout_confirm(surface_victim, space, [], 1, 1, 1, surface_baseline, Stream(1))
     with pytest.raises(ValueError):
-        scout_confirm(surface_victim, candidates(), 1, 1, 99, surface_baseline,
-                      Stream(1))
+        scout_confirm(surface_victim, space, batch, 1, 1, 99, surface_baseline, Stream(1))
     with pytest.raises(ValueError):
-        scout_confirm(surface_victim, candidates(), 0, 1, 1, surface_baseline,
-                      Stream(1))
+        scout_confirm(surface_victim, space, batch, 0, 1, 1, surface_baseline, Stream(1))
 
 
 def test_scout_confirm_identifies_best_under_small_noise():
@@ -243,15 +267,17 @@ def test_scout_confirm_identifies_best_under_small_noise():
     noiseless = surface_task("sc-task", 31)
     noisy = surface_task("sc-task", 31, noise_scale=0.05)
     baseline = CleanBaseline(j_clean=noiseless.j_clean)
-    cands = [cfg(epsilon=e, steps=s) for e in (2, 8, 14, 20) for s in (4, 12, 20)]
-    true_best = max(cands, key=lambda c: (
-        scalarize(noiseless.drop_true(c), noiseless.flip_true(c),
-                  noiseless.episode_seconds_true(c), 0.0), ))
+    space = candidate_space(epsilons=(2, 8, 14, 20), steps=(4, 12, 20))
+    batch = list(range(space.size))
+    true_best = max(batch, key=lambda i: scalarize(
+        noiseless.drop_true(space.configs[i]), noiseless.flip_true(space.configs[i]),
+        noiseless.episode_seconds_true(space.configs[i]), 0.0))
     hits = 0
     for seed in range(100):
-        result = scout_confirm(noisy, cands, 2, 5, 3, baseline, Stream(400, (seed,)))
-        best = max(result.confirms, key=lambda ev: ev.report.utility)
-        hits += best.report.config == true_best
+        _, confirms = split(scout_confirm(noisy, space, batch, 2, 5, 3, baseline,
+                                          Stream(400, (seed,))), batch)
+        best = max(confirms, key=lambda ev: ev.report.utility)
+        hits += best.index == true_best
     assert hits >= 99
 
 

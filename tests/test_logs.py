@@ -120,7 +120,7 @@ def test_best_so_far_monotone_and_confirm_never_lowers():
         scout("c", 0.1, rnd=1), scout("d", 0.45, rnd=1), confirm("d", 0.48, rnd=1),
     ]
     curve = best_so_far_curve(records)
-    assert curve.trials == 4
+    assert len(curve.best_after_trial) == 4
     assert curve.best_after_trial == (0.2, 0.5, 0.5, 0.5)
     assert curve.final_best == 0.5
     # a confirm that logs a higher utility raises its own trial's value

@@ -24,11 +24,9 @@ def a_config(epsilon=8, steps=10):
                         AllocationRule.FIXED)
 
 
-def report(drop=0.5, flip=0.5, runtime=1.0, var=0.0, config=None, episodes=2,
-           phase="scout"):
+def report(drop=0.5, flip=0.5, runtime=1.0, var=0.0, episodes=2, phase="scout"):
     from attacksearch.evaluation import scalarize
-    config = config or a_config()
-    return UtilityReport(config=config, drop=drop, flip=flip, runtime=runtime,
+    return UtilityReport(drop=drop, flip=flip, runtime=runtime,
                          variability=var,
                          utility=scalarize(drop, flip, runtime, var),
                          episodes=episodes, phase=phase)
@@ -212,8 +210,8 @@ def test_propose_batch_matches_setdiff_reference(case, rounds):
 
 def test_induced_uniform_over_evaluated_at_beta_zero():
     space = search_space()
-    entries = [(0, a_config(2, 4), report(drop=0.1, config=a_config(2, 4)), FeedbackSignal()),
-               (0, a_config(8, 10), report(drop=0.9, config=a_config(8, 10)), FeedbackSignal())]
+    entries = [(0, a_config(2, 4), report(drop=0.1), FeedbackSignal()),
+               (0, a_config(8, 10), report(drop=0.9), FeedbackSignal())]
     history = history_with(space, entries)
     q = induced_proposal(history, space, beta=0.0, spread=0.0)
     i, j = space.index_of(a_config(2, 4)), space.index_of(a_config(8, 10))
@@ -224,9 +222,9 @@ def test_induced_uniform_over_evaluated_at_beta_zero():
 
 def test_induced_concentrates_on_best_at_high_beta():
     space = search_space()
-    entries = [(0, a_config(2, 4), report(drop=0.1, config=a_config(2, 4)), FeedbackSignal()),
-               (0, a_config(8, 10), report(drop=0.9, config=a_config(8, 10)), FeedbackSignal()),
-               (0, a_config(16, 4), report(drop=0.2, config=a_config(16, 4)), FeedbackSignal())]
+    entries = [(0, a_config(2, 4), report(drop=0.1), FeedbackSignal()),
+               (0, a_config(8, 10), report(drop=0.9), FeedbackSignal()),
+               (0, a_config(16, 4), report(drop=0.2), FeedbackSignal())]
     history = history_with(space, entries)
     q = induced_proposal(history, space, beta=50.0, spread=0.0)
     best = space.index_of(a_config(8, 10))
@@ -236,7 +234,7 @@ def test_induced_concentrates_on_best_at_high_beta():
 def test_induced_single_config_spread_half():
     space = search_space()
     config = a_config(8, 10)
-    history = history_with(space, [(0, config, report(config=config), FeedbackSignal())])
+    history = history_with(space, [(0, config, report(), FeedbackSignal())])
     q = induced_proposal(history, space, beta=0.0, spread=1.0)
     idx = space.index_of(config)
     neighbors = space.neighbors(idx)
@@ -249,7 +247,7 @@ def test_induced_shifts_along_feedback_direction():
     space = search_space()
     config = a_config(8, 10)
     signal = FeedbackSignal(tags=("weak-drop",), epsilon_step=1)
-    history = history_with(space, [(0, config, report(config=config), signal)])
+    history = history_with(space, [(0, config, report(), signal)])
     q = induced_proposal(history, space, beta=0.0, spread=1.0)
     self_idx = space.index_of(config)
     shifted_center = space.shifted(self_idx, epsilon_step=1)
@@ -272,7 +270,7 @@ def test_close_round_tie_keeps_lowest_index():
     space = search_space()
     high, low = a_config(16, 10), a_config(2, 4)
     assert space.index_of(high) > space.index_of(low)
-    history = history_with(space, [(0, c, report(config=c), FeedbackSignal())
+    history = history_with(space, [(0, c, report(), FeedbackSignal())
                                    for c in (high, low)])
     history.close_round()
     assert history.best_per_round == [(space.index_of(low), report().utility)]
@@ -283,9 +281,9 @@ def test_confirm_replaces_its_scout():
     `close_round` and the induced proposal read."""
     space = search_space()
     a, b = a_config(8, 10), a_config(2, 4)
-    scout = report(drop=0.9, config=a)
-    other = report(drop=0.5, config=b)
-    confirm = report(drop=0.1, config=a, episodes=5, phase="confirm")
+    scout = report(drop=0.9)
+    other = report(drop=0.5)
+    confirm = report(drop=0.1, episodes=5, phase="confirm")
     shift = FeedbackSignal(epsilon_step=1)
     history = history_with(space, [(0, a, scout, FeedbackSignal()),
                                    (0, b, other, FeedbackSignal()),
