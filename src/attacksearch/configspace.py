@@ -11,7 +11,6 @@ reproducible.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import math
@@ -143,6 +142,16 @@ class SpaceColumns(NamedTuple):
     margin_linear: np.ndarray     # bool: the allocation is margin-linear
 
 
+class MoveTable(NamedTuple):
+    """A space's local moves as index tables, one read-only int array each."""
+
+    # shifted[e + 1, s + 1, t, i]: index i moved by `shifted(i, epsilon_step=e,
+    # steps_step=s, toggle_allocation=t)`, for e, s in {-1, 0, 1} and t in {0, 1}
+    shifted: np.ndarray
+    # neighbors[i]: the indices of `neighbors(i)` ascending, padded with `size`
+    neighbors: np.ndarray
+
+
 @dataclass(frozen=True)
 class FamilyGrid:
     """Candidate values for every configuration field of one family."""
@@ -222,26 +231,44 @@ class ConfigSpace:
         return cols
 
     @cached_property
-    def _blocks(self) -> tuple[list[int], list[tuple]]:
-        """Family blocks in canonical order: their end indices, and for each
-        its first index, axis lengths and axis strides."""
-        ends, blocks = [], []
+    def moves(self) -> MoveTable:
+        """Every index's shift targets and neighbourhood, built once per space
+        by stride arithmetic on each family block's mixed-radix coordinates."""
+        shifted, neighbors = [], []
+        start = 0
         for family in self.families:
             grid = self.grids[family]
-            lengths = tuple(len(getattr(grid, axis)) for axis in _AXES)
-            strides = tuple(math.prod(lengths[k + 1:]) for k in range(len(_AXES)))
-            blocks.append((ends[-1] if ends else 0, lengths, strides))
-            ends.append(blocks[-1][0] + grid.cardinality)
-        return ends, blocks
+            lengths = [len(getattr(grid, axis)) for axis in _AXES]
+            strides = [math.prod(lengths[k + 1:]) for k in range(len(_AXES))]
+            offset = np.arange(grid.cardinality)
+            coords = [offset // s % n for s, n in zip(strides, lengths)]
+            index = start + offset
 
-    def _position(self, index: int) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
-        """Axis positions of `index` in its family block, and that block's lengths and strides."""
-        ends, blocks = self._blocks
-        if not 0 <= index < ends[-1]:
-            raise SpaceError(f"config index {index} outside [0, {ends[-1]})")
-        start, lengths, strides = blocks[bisect.bisect_right(ends, index)]
-        offset = index - start
-        return [offset // s % n for s, n in zip(strides, lengths)], lengths, strides
+            def moved(k, step):   # each index's change one `step` along axis k, clamped
+                return (np.clip(coords[k] + step, 0, lengths[k] - 1) - coords[k]) * strides[k]
+
+            epsilon = np.stack([moved(_EPSILON, s) for s in (-1, 0, 1)])
+            steps = np.stack([moved(_STEPS, s) for s in (-1, 0, 1)])
+            k = _ALLOCATION
+            toggle = ((coords[k] + 1) % lengths[k] - coords[k]) * strides[k]
+            shifted.append(index + epsilon[:, None, None] + steps[None, :, None]
+                           + np.stack([0 * toggle, toggle])[None, None])
+            # A clamped unit move is zero exactly when it would leave the grid;
+            # such a move becomes the padding `size`, which sorts last.
+            unit_moves = [moved(k, s) for k in _MOVE_AXES for s in (-1, 1)]
+            neighbors.append(np.sort(np.stack(
+                [np.where(d != 0, index + d, self.size) for d in unit_moves], axis=1), axis=1))
+            start += grid.cardinality
+        neighbors = np.concatenate(neighbors)
+        width = (neighbors < self.size).sum(axis=1).max()
+        table = MoveTable(np.concatenate(shifted, axis=-1), neighbors[:, :width].copy())
+        for array in table:
+            array.flags.writeable = False
+        return table
+
+    def _check_index(self, index: int) -> None:
+        if not 0 <= index < self.size:
+            raise SpaceError(f"config index {index} outside [0, {self.size})")
 
     def index_of(self, config: AttackConfig) -> int:
         try:
@@ -259,29 +286,20 @@ class ConfigSpace:
         allocation to an adjacent allocation candidate. The family and the
         seed never move. Never contains `index` itself.
         """
-        coords, lengths, strides = self._position(index)
-        out = []
-        for k in _MOVE_AXES:
-            if coords[k] > 0:
-                out.append(index - strides[k])
-            if coords[k] < lengths[k] - 1:
-                out.append(index + strides[k])
-        out.sort()
-        return tuple(out)
+        self._check_index(index)
+        return tuple(n for n in self.moves.neighbors[index].tolist() if n < self.size)
 
     def shifted(self, index: int, *, epsilon_step: int = 0, steps_step: int = 0,
                 toggle_allocation: bool = False) -> int:
         """Move one grid position along the given directions: epsilon and steps
         clamp at their grid ends, the allocation toggle wraps to the first candidate."""
-        coords, lengths, strides = self._position(index)
-        for k, step in ((_EPSILON, epsilon_step), (_STEPS, steps_step)):
-            if step:
-                target = min(max(coords[k] + (1 if step > 0 else -1), 0), lengths[k] - 1)
-                index += (target - coords[k]) * strides[k]
-        if toggle_allocation:
-            k = _ALLOCATION
-            index += ((coords[k] + 1) % lengths[k] - coords[k]) * strides[k]
-        return index
+        self._check_index(index)
+        return int(self.moves.shifted[_sign(epsilon_step) + 1, _sign(steps_step) + 1,
+                                      int(bool(toggle_allocation)), index])
+
+
+def _sign(step) -> int:
+    return (step > 0) - (step < 0)
 
 
 # Per-family (lo, hi, step) of the default epsilon and steps grids. The

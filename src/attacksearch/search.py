@@ -162,8 +162,11 @@ def propose_batch(q: ProposalDistribution, b: int, evaluated,
 
     The remaining set is read off one boolean mask over the space, built
     from the `evaluated` indices on every call; each draw then zeroes the
-    picked weight in place. The sequence of `rng.choice` calls and their
-    probability vectors is the same as removing picks one by one.
+    picked weight in place. The batch's b uniforms are drawn as one block,
+    and each pick inverts its uniform through the normalized cumulative
+    weights: `Generator.choice`'s own algorithm, so the picks and the
+    generator's final state are those of b `rng.choice(n, p=w / w.sum())`
+    calls removing picks one by one.
     """
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
@@ -171,26 +174,27 @@ def propose_batch(q: ProposalDistribution, b: int, evaluated,
     unevaluated[list(evaluated)] = False
     remaining = np.flatnonzero(unevaluated)
     if remaining.size <= b:
-        return [int(i) for i in remaining]
+        return remaining.tolist()
     weights = q.probs[remaining]
     total = weights.sum()
     if total <= 0.0:
         weights = np.full(remaining.size, 1.0 / remaining.size)
     else:
         weights = weights / total
-    chosen: list[int] = []
-    alive = np.ones(remaining.size, dtype=bool)
-    for _ in range(b):
+    picks: list[int] = []
+    for u in rng.random(b):
         w = weights
         w_total = w.sum()
-        if w_total <= 0.0:
-            w = alive.astype(float)
+        if w_total <= 0.0:      # no mass left: uniform over the unpicked
+            w = np.ones(remaining.size)
+            w[picks] = 0.0
             w_total = w.sum()
-        pick = int(rng.choice(remaining.size, p=w / w_total))
-        alive[pick] = False
+        cdf = (w / w_total).cumsum()
+        cdf /= cdf[-1]
+        pick = int(cdf.searchsorted(u, side="right"))
         weights[pick] = 0.0
-        chosen.append(int(remaining[pick]))
-    return chosen
+        picks.append(pick)
+    return remaining[picks].tolist()
 
 
 def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
@@ -199,26 +203,34 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
 
     Each evaluated config's newest entry gives it weight exp(beta * U) and
     spreads spread * weight uniformly over the neighborhood of its position
-    shifted one grid step along any nonzero direction of its feedback.
+    shifted one grid step along any nonzero direction of its feedback. The
+    shift targets and neighborhoods are read from the space's move table,
+    and every deposit lands in one `np.add.at` in entry order, self first,
+    so each config receives its additions in the order of a per-entry loop.
     """
     if not history.latest:
         raise ValueError("history contains no evaluated configurations")
     if beta < 0 or spread < 0:
         raise ValueError("beta and spread must be >= 0")
     u_max = history.best().report.utility
-    probs = np.zeros(space.size)
-    for idx, entry in history.latest.items():
-        weight = math.exp(beta * (entry.report.utility - u_max))
-        probs[idx] += weight
-        if spread <= 0:
-            continue
-        signal = entry.signal
-        center = space.shifted(idx, epsilon_step=signal.epsilon_step,
-                               steps_step=signal.steps_step,
-                               toggle_allocation=signal.toggle_allocation)
-        neighbors = space.neighbors(center)
-        if neighbors:
-            probs[list(neighbors)] += spread * weight / len(neighbors)
+    entries = history.latest.values()
+    sites = np.fromiter(history.latest, dtype=np.intp, count=len(entries))[:, None]
+    values = np.array([math.exp(beta * (e.report.utility - u_max)) for e in entries])[:, None]
+    if spread > 0:
+        moves = space.moves
+        signals = [e.signal for e in entries]
+        centers = moves.shifted[np.sign([s.epsilon_step for s in signals]) + 1,
+                                np.sign([s.steps_step for s in signals]) + 1,
+                                [int(s.toggle_allocation) for s in signals], sites[:, 0]]
+        neighbors = moves.neighbors[centers]
+        counts = np.maximum((neighbors < space.size).sum(axis=1, keepdims=True), 1)
+        sites = np.concatenate([sites, neighbors], axis=1)
+        values = np.concatenate([values, np.repeat(spread * values / counts,
+                                                   neighbors.shape[1], axis=1)], axis=1)
+    # the neighbour rows' padding is `size`: what lands there is dropped
+    probs = np.zeros(space.size + 1)
+    np.add.at(probs, sites.ravel(), values.ravel())
+    probs = probs[:-1]
     return ProposalDistribution(probs / probs.sum())
 
 

@@ -300,21 +300,45 @@ def test_enumeration_matches_nested_loop_oracle(space):
 
 
 @settings(max_examples=25, deadline=None)
-@given(space=small_spaces(), data=st.data())
-def test_neighborhood_matches_scan_oracle(space, data):
-    configs = space.configs
-    config = data.draw(st.sampled_from(configs))
-    assert neighbor_configs(space, config) == brute_force_neighbors(config, space)
+@given(space=small_spaces())
+def test_neighborhood_matches_scan_oracle(space):
+    """Every index's row of the move table."""
+    for config in space.configs:
+        assert neighbor_configs(space, config) == brute_force_neighbors(config, space)
 
 
 @settings(max_examples=60, deadline=None)
-@given(space=small_spaces(), data=st.data(),
-       epsilon_step=st.integers(-2, 2), steps_step=st.integers(-2, 2),
+@given(space=small_spaces(), epsilon_step=st.integers(-2, 2), steps_step=st.integers(-2, 2),
        toggle_allocation=st.booleans())
-def test_shifted_matches_config_oracle(space, data, epsilon_step, steps_step,
-                                       toggle_allocation):
-    index = data.draw(st.integers(0, space.size - 1))
-    moved = space.shifted(index, epsilon_step=epsilon_step, steps_step=steps_step,
-                          toggle_allocation=toggle_allocation)
-    assert space.configs[moved] == shifted_oracle(space, space.configs[index], epsilon_step,
-                                                  steps_step, toggle_allocation)
+def test_shifted_matches_config_oracle(space, epsilon_step, steps_step, toggle_allocation):
+    """Every index's entry of the move table for one drawn direction."""
+    for index, config in enumerate(space.configs):
+        moved = space.shifted(index, epsilon_step=epsilon_step, steps_step=steps_step,
+                              toggle_allocation=toggle_allocation)
+        assert space.configs[moved] == shifted_oracle(space, config, epsilon_step, steps_step,
+                                                      toggle_allocation)
+
+
+def test_move_table_is_read_only_and_built_once(toy_space):
+    moves = toy_space.moves
+    assert toy_space.moves is moves
+    assert moves.shifted.shape == (3, 3, 2, toy_space.size)
+    assert moves.neighbors.shape[0] == toy_space.size
+    for array in moves:
+        assert not array.flags.writeable and array.base is None
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+
+
+def test_move_table_is_built_by_array_arithmetic(monkeypatch):
+    """No per-index move and no config object goes into the table."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-index move called while building the move table")
+
+    space = default_config_space()
+    monkeypatch.setattr(ConfigSpace, "shifted", refuse)
+    monkeypatch.setattr(ConfigSpace, "neighbors", refuse)
+    moves = space.moves
+    assert "configs" not in vars(space)
+    monkeypatch.undo()
+    assert space.moves is moves

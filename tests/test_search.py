@@ -205,6 +205,38 @@ def test_propose_batch_matches_setdiff_reference(case, rounds):
             evaluated.discard(batch[0])   # a direct edit the next call must see
 
 
+@pytest.mark.parametrize("shape", ["uniform", "exp-utility", "sparse", "zero-on-remaining"])
+def test_propose_batch_matches_choice_on_the_default_space(default_space, shape):
+    """`rng.choice` stays the oracle at benchmark scale: on the 1,128-config
+    space, batches of up to 8 over searches' worth of rounds give the same
+    indices and leave the generator in the same state."""
+    size = default_space.size
+    victim = surface_task("choice-task", 5)
+    utilities = brute_force_utility(victim, default_space, make_baseline_for(victim)).utilities
+    cases = Stream(21).generator()
+    for case in range(12):
+        evaluated = set(cases.choice(size, size=int(cases.integers(0, 24)),
+                                     replace=False).tolist())
+        if shape == "uniform":
+            probs = np.full(size, 1.0 / size)
+        elif shape == "exp-utility":
+            probs = np.exp(50.0 * (utilities - utilities.max()))
+        elif shape == "sparse":     # mass on a few configs: the batch runs out of it
+            probs = np.zeros(size)
+            probs[cases.choice(size, size=int(cases.integers(1, 6)), replace=False)] = 1.0
+        else:                       # no mass where sampling happens: uniform fallback
+            probs = np.zeros(size)
+            probs[sorted(evaluated) or [0]] = 1.0
+        q = proposal.ProposalDistribution(probs / probs.sum())
+        b = int(cases.integers(1, 9))
+        rng, reference_rng = Stream(case).generator(), Stream(case).generator()
+        for _ in range(4):
+            batch = propose_batch(q, b, evaluated, rng)
+            assert batch == setdiff_propose_batch(q, b, evaluated, reference_rng)
+            assert generator_state(rng) == generator_state(reference_rng)
+            evaluated.update(batch)
+
+
 # ---------------------------------------------------------------- induced proposal
 
 
