@@ -91,9 +91,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# Losses and gradients for one observation. Synthesis runs the fused
-# objectives below (square reads ce_loss itself); tests hold them equal bit
-# for bit, and check these against finite differences.
+# Cross entropy at one observation, which square reads. The fused
+# objectives below serve every other family; the tests keep per-point
+# losses and gradients (tests/point_losses.py) as oracles, hold the fused
+# ones equal to them bit for bit, and check them against finite differences.
 
 
 def ce_loss(surface: LinearAttackSurface, obs: np.ndarray, action: int) -> float:
@@ -104,53 +105,6 @@ def ce_loss(surface: LinearAttackSurface, obs: np.ndarray, action: int) -> float
     return float(np.log(np.exp(shifted).sum()) - shifted[action])
 
 
-def ce_grad(surface: LinearAttackSurface, obs: np.ndarray, action: int) -> np.ndarray:
-    probs = _softmax(surface.logits(obs))
-    probs[action] -= 1.0
-    return surface.logit_map.T @ probs
-
-
-def dlr_denominator(surface: LinearAttackSurface, clean_obs: np.ndarray) -> float:
-    """Top1 minus top3 clean logit gap (top2 when fewer than 3 actions)."""
-    logits = np.sort(surface.logits(clean_obs))[::-1]
-    third = logits[2] if logits.size >= 3 else logits[-1]
-    return float(logits[0] - third) + 1e-9
-
-
-def dlr_loss(surface: LinearAttackSurface, obs: np.ndarray, action: int,
-             denom: float) -> float:
-    """Best-competitor logit advantage over `action`, scaled by the clean gap."""
-    logits = surface.logits(obs)
-    rival = np.max(np.delete(logits, action))
-    return float((rival - logits[action]) / denom)
-
-
-def dlr_grad(surface: LinearAttackSurface, obs: np.ndarray, action: int,
-             denom: float) -> np.ndarray:
-    logits = surface.logits(obs)
-    masked = logits.copy()
-    masked[action] = -np.inf
-    rival = int(np.argmax(masked))
-    return (surface.logit_map[rival] - surface.logit_map[action]) / denom
-
-
-def consistency_loss(surface: LinearAttackSurface, obs: np.ndarray,
-                     z_target: np.ndarray) -> float:
-    resid = surface.encoder @ obs - z_target
-    return float(resid @ resid)
-
-
-def consistency_grad(surface: LinearAttackSurface, obs: np.ndarray,
-                     z_target: np.ndarray) -> np.ndarray:
-    return 2.0 * (surface.encoder.T @ (surface.encoder @ obs - z_target))
-
-
-def margin_loss(surface: LinearAttackSurface, obs: np.ndarray, action: int) -> float:
-    """Maximum rival-minus-target logit gap; positive means the action flipped."""
-    logits = surface.logits(obs)
-    return float(np.max(np.delete(logits, action)) - logits[action])
-
-
 # ----------------------------------------------------------------------
 # Fused objectives: loss and (optionally) gradient from one logit readout
 # ----------------------------------------------------------------------
@@ -158,7 +112,8 @@ def margin_loss(surface: LinearAttackSurface, obs: np.ndarray, action: int) -> f
 
 def ce_rows(surface: LinearAttackSurface, x: np.ndarray, actions: np.ndarray,
             with_grad: bool = True):
-    """`ce_loss` and `ce_grad` of each row of `x` (n, d); grad is None without with_grad."""
+    """Cross entropy of each row of `x` (n, d) at its action, and its gradient;
+    grad is None without with_grad."""
     rows = np.arange(x.shape[0])
     logits = rows_matvec(surface.logit_map, x)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -181,7 +136,8 @@ def _rival_rows(logits: np.ndarray, actions: np.ndarray):
 
 
 def dlr_denominator_rows(surface: LinearAttackSurface, clean_obs: np.ndarray) -> np.ndarray:
-    """`dlr_denominator` of each row of `clean_obs` (n, d)."""
+    """Top1 minus top3 clean logit gap (top2 when fewer than 3 actions) of
+    each row of `clean_obs` (n, d)."""
     logits = np.sort(rows_matvec(surface.logit_map, clean_obs), axis=1)
     third = logits[:, -3] if logits.shape[1] >= 3 else logits[:, 0]
     return (logits[:, -1] - third) + 1e-9
@@ -189,7 +145,8 @@ def dlr_denominator_rows(surface: LinearAttackSurface, clean_obs: np.ndarray) ->
 
 def dlr_rows(surface: LinearAttackSurface, x: np.ndarray, actions: np.ndarray,
              denom: np.ndarray, with_grad: bool = True):
-    """`dlr_loss` and `dlr_grad` of each row of `x` (n, d); grad is None without with_grad."""
+    """Best-rival logit advantage over each row's action, scaled by its clean
+    gap `denom`, and its gradient; grad is None without with_grad."""
     logits = rows_matvec(surface.logit_map, x)
     rows, own, rival = _rival_rows(logits, actions)
     loss = (logits[rows, rival] - own) / denom
@@ -200,7 +157,8 @@ def dlr_rows(surface: LinearAttackSurface, x: np.ndarray, actions: np.ndarray,
 
 
 def margin_rows(surface: LinearAttackSurface, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """`margin_loss` of each row of `x` (n, d)."""
+    """Best rival minus own logit of each row of `x` (n, d); positive means
+    the action flipped."""
     logits = rows_matvec(surface.logit_map, x)
     rows, own, rival = _rival_rows(logits, actions)
     return logits[rows, rival] - own
@@ -208,7 +166,8 @@ def margin_rows(surface: LinearAttackSurface, x: np.ndarray, actions: np.ndarray
 
 def physcond_point(surface: LinearAttackSurface, x: np.ndarray, action: int,
                    z_target: np.ndarray, with_grad: bool = True):
-    """`ce_loss + 0.5 * consistency_loss` at one observation, and its gradient."""
+    """`ce_loss` plus half the squared latent residual `|encoder @ x - z_target|^2`
+    at one observation, and its gradient."""
     logits = surface.logit_map @ x
     shifted = logits - max(logits.tolist())   # as in ce_loss
     e = np.exp(shifted)
@@ -219,7 +178,7 @@ def physcond_point(surface: LinearAttackSurface, x: np.ndarray, action: int,
         return loss, None
     probs = e / total
     probs[action] -= 1.0
-    # 0.5 * consistency_grad: halving the doubled product is exact
+    # half the residual's gradient 2 * encoder.T @ resid: halving it is exact
     return loss, surface.logit_map.T @ probs + surface.encoder.T @ resid
 
 

@@ -29,8 +29,9 @@ class UtilityWeights:
     variability: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.flip < 0 or self.runtime < 0 or self.variability < 0:
-            raise ValueError("utility weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.flip, self.runtime, self.variability)):
+            raise ValueError("utility weights must be finite and >= 0")
 
 
 DEFAULT_WEIGHTS = UtilityWeights()

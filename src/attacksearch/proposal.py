@@ -16,7 +16,8 @@ class ProposalError(ValueError):
 
 @dataclass(frozen=True)
 class ProposalDistribution:
-    """Probability vector aligned with the canonical space enumeration."""
+    """Checked probability vector aligned with the canonical space enumeration,
+    built where a proposal enters: q0, warm starts and theory."""
 
     probs: np.ndarray
 
@@ -58,18 +59,20 @@ def point_mass(size: int, index: int) -> ProposalDistribution:
     return ProposalDistribution(probs)
 
 
-def _check_aligned(a: ProposalDistribution, b: ProposalDistribution) -> None:
+def _check_aligned(a, b) -> None:
     if a.size != b.size:
         raise ProposalError(f"misaligned supports: {a.size} vs {b.size}")
 
 
-def update(q: ProposalDistribution, q_hat: ProposalDistribution,
-           alpha: float) -> ProposalDistribution:
-    """Convex combination (1 - alpha) * q + alpha * q_hat, componentwise."""
+def update(q: np.ndarray, q_hat: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - alpha) * q + alpha * q_hat of two probability vectors, read-only;
+    a mix of proposals is one, so it is not checked again."""
     if not (0.0 <= alpha <= 1.0):
         raise ProposalError(f"alpha must lie in [0, 1], got {alpha}")
     _check_aligned(q, q_hat)
-    return ProposalDistribution((1.0 - alpha) * q.probs + alpha * q_hat.probs)
+    mixed = (1.0 - alpha) * q + alpha * q_hat
+    mixed.setflags(write=False)
+    return mixed
 
 
 def correction_operator(q: ProposalDistribution, q_star: ProposalDistribution,

@@ -12,6 +12,7 @@ fields, and its text parses back to the all-default config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -193,7 +194,7 @@ class RunConfig:
 # Parsing
 # ----------------------------------------------------------------------
 
-_TYPE_NAMES = {bool: "boolean", int: "integer", float: "real", str: "string"}
+_TYPE_NAMES = {bool: "boolean", int: "integer", float: "finite real", str: "string"}
 
 
 class _Loader(yaml.SafeLoader):
@@ -267,13 +268,18 @@ def _line_of(node, path: tuple) -> int | None:
 
 
 def _scalar(value, kind):
-    """`value` as a `kind`, or None; integers widen to reals, booleans never count."""
+    """`value` as a `kind`, or None; integers widen to reals, booleans never
+    count, and a real must be finite (YAML reads `.inf` and `.nan` as reals)."""
     if kind is bool:
         return value if isinstance(value, bool) else None
     if kind in (int, float) and isinstance(value, bool):
         return None
     if kind is float and isinstance(value, (int, float)):
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:   # an integer past the largest real
+            return None
+        return value if math.isfinite(value) else None
     return value if isinstance(value, kind) else None
 
 

@@ -82,8 +82,8 @@ class SearchParams:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.alpha_schedule not in ALPHA_SCHEDULES:
             raise ValueError(f"unknown alpha schedule: {self.alpha_schedule!r}")
-        if self.beta < 0 or self.spread < 0:
-            raise ValueError("beta and spread must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.beta, self.spread)):
+            raise ValueError("beta and spread must be finite and >= 0")
         if self.scout_episodes < 1 or self.confirm_episodes < 1 or self.confirm_top_k < 1:
             raise ValueError("episode counts and confirm_top_k must be >= 1")
 
@@ -108,7 +108,7 @@ class SearchHistory:
     """Every evaluation in order (`entries`), and the newest entry of each
     evaluated config index (`latest`): a confirm replaces its scout there,
     and the induced proposal and the search's best read it. Each round's
-    proposal array, read-only, is kept by reference in `proposal_snapshots`."""
+    read-only proposal vector is kept by reference in `proposal_snapshots`."""
 
     entries: list[EvalEntry] = field(default_factory=list)
     latest: dict[int, EvalEntry] = field(default_factory=dict)
@@ -152,9 +152,9 @@ class SearchHistory:
         return len(self.best_per_round)
 
 
-def propose_batch(q: ProposalDistribution, b: int, evaluated,
+def propose_batch(q: np.ndarray, b: int, evaluated,
                   rng: np.random.Generator) -> list[int]:
-    """Sample b distinct unevaluated configuration indices proportional to q.
+    """Sample b distinct unevaluated config indices proportional to vector q.
 
     Returns every remaining index when fewer than b are unevaluated, and an
     empty list when the space is exhausted. If the proposal places no mass
@@ -175,7 +175,7 @@ def propose_batch(q: ProposalDistribution, b: int, evaluated,
     remaining = np.flatnonzero(unevaluated)
     if remaining.size <= b:
         return remaining.tolist()
-    weights = q.probs[remaining]
+    weights = q[remaining]
     total = weights.sum()
     if total <= 0.0:
         weights = np.full(remaining.size, 1.0 / remaining.size)
@@ -198,8 +198,9 @@ def propose_batch(q: ProposalDistribution, b: int, evaluated,
 
 
 def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
-                     spread: float) -> ProposalDistribution:
-    """Exploitation weights on evaluated configs plus neighborhood deposits.
+                     spread: float) -> np.ndarray:
+    """Exploitation weights on evaluated configs plus neighborhood deposits,
+    as a probability vector.
 
     Each evaluated config's newest entry gives it weight exp(beta * U) and
     spreads spread * weight uniformly over the neighborhood of its position
@@ -207,6 +208,8 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
     shift targets and neighborhoods are read from the space's move table,
     and every deposit lands in one `np.add.at` in entry order, self first,
     so each config receives its additions in the order of a per-entry loop.
+    Every weight is >= 0 and the best entry's is 1, so only an overflowing
+    normalizer (a huge `spread`) can stop the result being a proposal.
     """
     if not history.latest:
         raise ValueError("history contains no evaluated configurations")
@@ -231,7 +234,10 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
     probs = np.zeros(space.size + 1)
     np.add.at(probs, sites.ravel(), values.ravel())
     probs = probs[:-1]
-    return ProposalDistribution(probs / probs.sum())
+    total = probs.sum()
+    if not math.isfinite(total):
+        raise ProposalError(f"induced proposal mass overflows (spread={spread})")
+    return probs / total
 
 
 @dataclass(frozen=True)
@@ -258,10 +264,10 @@ def run_search(victim, space: ConfigSpace, params: SearchParams,
         logger.warning(f"budget clamped from {params.budget} to {budget} (space size)")
     history = SearchHistory()
     stream = Stream(params.seed)
-    q = q0
+    q = q0.probs
     round_index = 0
     while len(history.evaluated) < budget:
-        history.proposal_snapshots.append(q.probs)
+        history.proposal_snapshots.append(q)
         batch_budget = min(params.batch_size, budget - len(history.evaluated))
         batch = propose_batch(q, batch_budget, history.evaluated,
                               stream.child(round_index, 0).generator())

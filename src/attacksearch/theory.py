@@ -370,8 +370,8 @@ def _identity_checks(rng: np.random.Generator, tuples: int) -> list[CheckRow]:
         lhs = corrected.mass(indices) - q.mass(indices)
         rhs = gamma / (1.0 + gamma) * (q_star.mass(indices) - q.mass(indices))
         dev_mass = max(dev_mass, abs(lhs - rhs))
-        via_update = update(q, q_star, gamma / (1.0 + gamma))
-        dev_update = max(dev_update, float(np.abs(corrected.probs - via_update.probs).max()))
+        via_update = update(q.probs, q_star.probs, gamma / (1.0 + gamma))
+        dev_update = max(dev_update, float(np.abs(corrected.probs - via_update).max()))
         p = float(rng.uniform(0.0, 1.0))
         r = float(rng.uniform(0.0, 1.0))
         xi = float(rng.uniform(0.0, 0.5))

@@ -134,8 +134,8 @@ class ResponseSurfaceVictim:
             raise ValueError(f"theta must have {THETA_DIM} components")
         if any(not (0.0 <= t <= 1.0) for t in self.theta):
             raise ValueError("theta components must lie in [0, 1]")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError("noise_scale must be finite and >= 0")
         if self.action_count < 1:
             raise ValueError(f"action_count must be >= 1, got {self.action_count}")
         if self.horizon < 1:

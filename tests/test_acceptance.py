@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 import pytest
+from point_losses import ce_grad, dlr_denominator, dlr_grad, dlr_loss
 
 from attacksearch import proposal
-from attacksearch.attacks import (apply_perturbation, ce_grad, ce_loss,
-                                  dlr_denominator, dlr_grad, dlr_loss)
+from attacksearch.attacks import apply_perturbation, ce_loss
 from attacksearch.cli import main
 from attacksearch.configspace import AttackFamily, default_config_space
 from attacksearch.evaluation import DEFAULT_WEIGHTS, scalarize, make_baseline

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from point_losses import (ce_grad, consistency_grad, consistency_loss, dlr_denominator,
+                          dlr_grad, dlr_loss, margin_loss)
 
 from attacksearch import attacks
-from attacksearch.attacks import (LinearAttackSurface, apply_perturbation, ce_grad,
-                                  ce_loss, ce_rows, consistency_grad,
-                                  consistency_loss, dlr_denominator, dlr_denominator_rows,
-                                  dlr_grad, dlr_loss, dlr_rows, margin_loss, margin_rows,
+from attacksearch.attacks import (LinearAttackSurface, apply_perturbation, ce_loss, ce_rows,
+                                  dlr_denominator_rows, dlr_rows, margin_rows,
                                   physcond_point, project_obs, synthesize_delta)
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily)
 from attacksearch.rngutil import Stream

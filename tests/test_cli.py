@@ -224,6 +224,19 @@ def test_config_with_a_broken_mapping_exits_2(tmp_path, capsys, body, message):
     assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
 
+@pytest.mark.parametrize("mode", ["search", "oracle"])
+@pytest.mark.parametrize("key", ["victim.noise", "search.beta", "search.spread",
+                                 "weights.flip", "weights.runtime", "weights.variability",
+                                 "theory.eta", "bench.noise"])
+def test_infinite_setting_exits_2_before_any_output(tmp_path, capsys, mode, key):
+    section, name = key.split(".")
+    cfg = write_config(tmp_path, f"{section}:\n  {name}: .inf\n")
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err \
+        == f"error: expected finite real, got inf (key '{key}', line 2)\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
 @pytest.mark.parametrize("victim", ["{task_seed: -3}", "{kind: linear, weight_seed: -2}"])
 def test_negative_victim_seed_exit_code(tmp_path, capsys, victim):
     cfg = write_config(tmp_path, f"out_dir: {tmp_path}\nvictim: {victim}\n")

@@ -92,6 +92,13 @@ def test_scalarize_zero_weights_degenerate():
     assert scalarize(0.37, 0.9, 100.0, 5.0, weights) == 0.37
 
 
+@pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+@pytest.mark.parametrize("weight", ["flip", "runtime", "variability"])
+def test_utility_weights_validation(weight, bad):
+    with pytest.raises(ValueError, match="utility weights must be finite and >= 0"):
+        UtilityWeights(**{weight: bad})
+
+
 def test_scalarize_rejects_negative_runtime():
     with pytest.raises(ValueError):
         scalarize(0.0, 0.0, -1.0, 0.0)

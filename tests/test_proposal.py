@@ -49,28 +49,32 @@ def test_probs_read_only():
 
 
 def test_update_hand_value():
-    q = ProposalDistribution(np.array([0.2, 0.8]))
-    q_hat = ProposalDistribution(np.array([0.6, 0.4]))
-    out = update(q, q_hat, 0.5)
-    assert np.allclose(out.probs, [0.4, 0.6], atol=0)
+    out = update(np.array([0.2, 0.8]), np.array([0.6, 0.4]), 0.5)
+    assert np.allclose(out, [0.4, 0.6], atol=0)
 
 
 def test_update_alpha_zero_identity():
-    q = ProposalDistribution(np.array([0.3, 0.7]))
-    q_hat = ProposalDistribution(np.array([0.9, 0.1]))
-    assert np.array_equal(update(q, q_hat, 0.0).probs, q.probs)
+    q, q_hat = np.array([0.3, 0.7]), np.array([0.9, 0.1])
+    assert np.array_equal(update(q, q_hat, 0.0), q)
 
 
 def test_update_alpha_one_replacement():
-    q = ProposalDistribution(np.array([0.3, 0.7]))
-    q_hat = ProposalDistribution(np.array([0.9, 0.1]))
-    assert np.array_equal(update(q, q_hat, 1.0).probs, q_hat.probs)
+    q, q_hat = np.array([0.3, 0.7]), np.array([0.9, 0.1])
+    assert np.array_equal(update(q, q_hat, 1.0), q_hat)
+
+
+def test_update_returns_a_fresh_read_only_vector():
+    q = uniform(3).probs
+    out = update(q, q, 0.5)
+    assert out is not q and not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0] = 0.9
 
 
 def test_update_validates():
-    q = uniform(3)
+    q = uniform(3).probs
     with pytest.raises(ProposalError):
-        update(q, uniform(4), 0.5)
+        update(q, uniform(4).probs, 0.5)
     with pytest.raises(ProposalError):
         update(q, q, 1.5)
 
@@ -112,8 +116,8 @@ def test_correction_equals_update_identity(data, gamma):
     q = data.draw(distributions(size=n))
     q_star = data.draw(distributions(size=n))
     via_operator = correction_operator(q, q_star, gamma)
-    via_update = update(q, q_star, gamma / (1.0 + gamma))
-    assert np.abs(via_operator.probs - via_update.probs).max() <= 1e-15
+    via_update = update(q.probs, q_star.probs, gamma / (1.0 + gamma))
+    assert np.abs(via_operator.probs - via_update).max() <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,6 +139,7 @@ def test_update_outputs_are_distributions(data, alpha):
     n = data.draw(st.integers(2, 10))
     q = data.draw(distributions(size=n))
     q_hat = data.draw(distributions(size=n))
-    out = update(q, q_hat, alpha)
-    assert abs(out.probs.sum() - 1.0) <= MASS_TOL
-    assert np.all(out.probs >= 0.0)
+    out = update(q.probs, q_hat.probs, alpha)
+    assert abs(out.sum() - 1.0) <= MASS_TOL
+    assert np.all(out >= 0.0)
+    assert np.array_equal(ProposalDistribution(out).probs, out)

@@ -212,6 +212,25 @@ def test_bad_value_names_key_and_line(key, value):
     assert (err.value.key, err.value.line) == (key, line)
 
 
+@pytest.mark.parametrize("key", ["victim.noise", "search.beta", "search.spread",
+                                 "weights.flip", "weights.runtime", "weights.variability",
+                                 "theory.eta", "bench.noise"])
+@pytest.mark.parametrize("value", [".inf", ".nan", "1" + "0" * 400])
+def test_non_finite_real_names_key_and_line(key, value):
+    """YAML reads `.inf` and `.nan` as reals, and a long integer widens past
+    the largest one; each of these keys' own rules would let `.inf` through."""
+    text, line = place(key, value)
+    with pytest.raises(RunConfigError, match="expected finite real") as err:
+        parse_run_config_text(text)
+    assert (err.value.key, err.value.line) == (key, line)
+
+
+def test_non_finite_list_item_is_refused():
+    with pytest.raises(RunConfigError, match="list of finite reals, got inf") as err:
+        parse_run_config_text("space:\n  rhos: [0.5, .inf]\n")
+    assert (err.value.key, err.value.line) == ("space.rhos", 2)
+
+
 @pytest.mark.parametrize("section", SECTIONS)
 def test_unknown_key_in_section_named(section):
     with pytest.raises(RunConfigError) as err:

@@ -81,27 +81,27 @@ def test_feedback_unstable_returns_rule():
 def test_point_mass_proposal_sampled():
     space = search_space()
     q = proposal.point_mass(space.size, 3)
-    batch = propose_batch(q, 1, set(), Stream(1).generator())
+    batch = propose_batch(q.probs, 1, set(), Stream(1).generator())
     assert batch == [3]
 
 
 def test_exhaustive_batch_returns_all_remaining():
     space = search_space(eps=(2, 4), steps=(4,))
     q = proposal.uniform(space.size)
-    batch = propose_batch(q, space.size, set(), Stream(2).generator())
+    batch = propose_batch(q.probs, space.size, set(), Stream(2).generator())
     assert batch == list(range(space.size))
 
 
 def test_exhausted_space_returns_empty():
     space = search_space(eps=(2,), steps=(4,))
-    assert propose_batch(proposal.uniform(space.size), 2, set(range(space.size)),
+    assert propose_batch(proposal.uniform(space.size).probs, 2, set(range(space.size)),
                          Stream(3).generator()) == []
 
 
 def test_batch_skips_evaluated_and_is_distinct():
     space = search_space()
     q = proposal.uniform(space.size)
-    batch = propose_batch(q, 5, {0, 1, 2}, Stream(4).generator())
+    batch = propose_batch(q.probs, 5, {0, 1, 2}, Stream(4).generator())
     assert len(batch) == len(set(batch)) == 5
     assert not set(batch) & {0, 1, 2}
 
@@ -109,7 +109,7 @@ def test_batch_skips_evaluated_and_is_distinct():
 def test_zero_mass_on_remaining_falls_back_to_uniform():
     space = search_space(eps=(2, 4), steps=(4,))
     q = proposal.point_mass(space.size, 0)
-    batch = propose_batch(q, 2, {0}, Stream(5).generator())
+    batch = propose_batch(q.probs, 2, {0}, Stream(5).generator())
     assert len(batch) == len(set(batch)) == 2
     assert set(batch) <= {1, 2, 3}
 
@@ -122,7 +122,7 @@ def test_inclusion_frequency_matches_uniform_without_replacement():
     counts = np.zeros(size)
     gen = Stream(6).generator()
     for _ in range(trials):
-        for idx in propose_batch(q, b, set(), gen):
+        for idx in propose_batch(q.probs, b, set(), gen):
             counts[idx] += 1
     p = b / size
     se = math.sqrt(p * (1 - p) / trials)
@@ -140,7 +140,7 @@ def setdiff_propose_batch(q, b, evaluated, rng):
         return []
     if remaining.size <= b:
         return [int(i) for i in remaining]
-    weights = q.probs[remaining].copy()
+    weights = q[remaining].copy()
     total = weights.sum()
     if total <= 0.0:
         weights = np.full(remaining.size, 1.0 / remaining.size)
@@ -194,7 +194,7 @@ def test_propose_batch_matches_setdiff_reference(case, rounds):
     rounds on an evaluated set that is edited directly between calls."""
     probs, b, evaluated, seed = case
     evaluated = set(evaluated)
-    q = proposal.ProposalDistribution(probs)
+    q = proposal.ProposalDistribution(probs).probs
     rng, reference_rng = Stream(seed).generator(), Stream(seed).generator()
     for _ in range(rounds):
         batch = propose_batch(q, b, evaluated, rng)
@@ -227,7 +227,7 @@ def test_propose_batch_matches_choice_on_the_default_space(default_space, shape)
         else:                       # no mass where sampling happens: uniform fallback
             probs = np.zeros(size)
             probs[sorted(evaluated) or [0]] = 1.0
-        q = proposal.ProposalDistribution(probs / probs.sum())
+        q = proposal.ProposalDistribution(probs / probs.sum()).probs
         b = int(cases.integers(1, 9))
         rng, reference_rng = Stream(case).generator(), Stream(case).generator()
         for _ in range(4):
@@ -247,9 +247,10 @@ def test_induced_uniform_over_evaluated_at_beta_zero():
     history = history_with(space, entries)
     q = induced_proposal(history, space, beta=0.0, spread=0.0)
     i, j = space.index_of(a_config(2, 4)), space.index_of(a_config(8, 10))
-    assert q.probs[i] == pytest.approx(0.5, abs=1e-12)
-    assert q.probs[j] == pytest.approx(0.5, abs=1e-12)
-    assert q.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert q[i] == pytest.approx(0.5, abs=1e-12)
+    assert q[j] == pytest.approx(0.5, abs=1e-12)
+    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(proposal.ProposalDistribution(q).probs, q)
 
 
 def test_induced_concentrates_on_best_at_high_beta():
@@ -260,7 +261,7 @@ def test_induced_concentrates_on_best_at_high_beta():
     history = history_with(space, entries)
     q = induced_proposal(history, space, beta=50.0, spread=0.0)
     best = space.index_of(a_config(8, 10))
-    assert q.probs[best] >= 1.0 - 1e-6
+    assert q[best] >= 1.0 - 1e-6
 
 
 def test_induced_single_config_spread_half():
@@ -270,9 +271,9 @@ def test_induced_single_config_spread_half():
     q = induced_proposal(history, space, beta=0.0, spread=1.0)
     idx = space.index_of(config)
     neighbors = space.neighbors(idx)
-    assert q.probs[idx] == pytest.approx(0.5, abs=1e-12)
+    assert q[idx] == pytest.approx(0.5, abs=1e-12)
     for n in neighbors:
-        assert q.probs[n] == pytest.approx(0.5 / len(neighbors), abs=1e-12)
+        assert q[n] == pytest.approx(0.5 / len(neighbors), abs=1e-12)
 
 
 def test_induced_shifts_along_feedback_direction():
@@ -288,7 +289,7 @@ def test_induced_shifts_along_feedback_direction():
     share = 0.5 / len(neighbors)
     for i in neighbors:
         expected = share + (0.5 if i == self_idx else 0.0)
-        assert q.probs[i] == pytest.approx(expected, abs=1e-12)
+        assert q[i] == pytest.approx(expected, abs=1e-12)
     assert shifted_center not in neighbors
 
 
@@ -296,6 +297,19 @@ def test_induced_requires_history():
     space = search_space()
     with pytest.raises(ValueError):
         induced_proposal(SearchHistory(), space, 1.0, 0.5)
+
+
+def test_induced_refuses_a_normalizer_that_overflows():
+    """A finite spread whose deposits sum past the largest real raises
+    instead of handing NaN or zeros to the draw."""
+    space = search_space()
+    history = history_with(space, [(0, a_config(2, 4), report(), FeedbackSignal()),
+                                   (0, a_config(16, 10), report(), FeedbackSignal())])
+    assert induced_proposal(history, space, beta=0.0, spread=1e300).sum() \
+        == pytest.approx(1.0, abs=1e-12)
+    with np.errstate(over="ignore"), pytest.raises(proposal.ProposalError,
+                                                    match="induced proposal mass"):
+        induced_proposal(history, space, beta=0.0, spread=1e308)
 
 
 def test_close_round_tie_keeps_lowest_index():
@@ -330,8 +344,7 @@ def test_confirm_replaces_its_scout():
     confirmed_only = history_with(space, [(0, a, confirm, shift),
                                           (0, b, other, FeedbackSignal())])
     q = induced_proposal(history, space, beta=5.0, spread=1.0)
-    assert np.array_equal(q.probs,
-                          induced_proposal(confirmed_only, space, 5.0, 1.0).probs)
+    assert np.array_equal(q, induced_proposal(confirmed_only, space, 5.0, 1.0))
 
 
 # ---------------------------------------------------------------- run_search
@@ -446,6 +459,25 @@ def test_refining_search_keeps_each_round_proposal_read_only():
             snap[0] = 1.0
 
 
+def test_refined_search_builds_no_proposal_distribution_after_q0(monkeypatch):
+    """q0 is checked once, where it enters; each refined round then mixes
+    plain vectors and builds no `ProposalDistribution`."""
+    space = search_space()
+    victim = small_victim(seed=12)
+    baseline = make_baseline_for(victim)
+    params = SearchParams(budget=10, batch_size=3, seed=3)
+    q0 = proposal.uniform(space.size)
+    built = []
+    check = proposal.ProposalDistribution.__post_init__
+    monkeypatch.setattr(proposal.ProposalDistribution, "__post_init__",
+                        lambda self: built.append(self.size) or check(self))
+    result = run_search(victim, space, params, q0, baseline)
+    assert result.history.rounds == 4
+    assert built == []
+    proposal.uniform(3)     # the spy sees a build
+    assert built == [3]
+
+
 def test_alpha_schedules():
     params = SearchParams(budget=4, batch_size=2, alpha=0.3)
     assert params.alpha_at(1) == 0.3
@@ -461,3 +493,9 @@ def test_search_params_validation():
         SearchParams(budget=4, batch_size=2, alpha=1.5)
     with pytest.raises(ValueError):
         SearchParams(budget=4, batch_size=2, alpha_schedule="linear")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            SearchParams(budget=4, batch_size=2, alpha=bad)
+        for knob in ("beta", "spread"):
+            with pytest.raises(ValueError, match="finite"):
+                SearchParams(budget=4, batch_size=2, **{knob: bad})

@@ -180,4 +180,7 @@ def test_run_search_matches_the_reference_search(case):
         == "".join(line + "\n" for line in lines)
     assert [p.tobytes() for p in result.history.proposal_snapshots] \
         == [p.tobytes() for p in proposals]
+    for snapshot in result.history.proposal_snapshots:   # each round's vector is a proposal
+        assert not snapshot.flags.writeable
+        ProposalDistribution(snapshot)
     assert result.best_index == best

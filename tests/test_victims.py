@@ -104,6 +104,13 @@ def test_surface_theta_validation():
         ResponseSurfaceVictim("bad", (0.5,) * 7 + (1.5,))
     with pytest.raises(ValueError, match="action_count"):
         ResponseSurfaceVictim("bad", (0.5,) * 8, action_count=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            ResponseSurfaceVictim("bad", (0.5,) * 7 + (bad,))
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            ResponseSurfaceVictim("bad", (0.5,) * 8, noise_scale=bad)
+    with pytest.raises(ValueError, match="noise_scale"):
+        ResponseSurfaceVictim("bad", (0.5,) * 8, noise_scale=-0.1)
 
 
 def test_surface_horizon_validation():
