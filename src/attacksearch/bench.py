@@ -13,6 +13,7 @@ same logs is byte-identical to what `bench` produced.
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,8 @@ import numpy as np
 from . import proposal, theory
 from .configspace import AttackFamily, ConfigSpace
 from .evaluation import CleanBaseline, make_baseline
-from .logs import best_so_far_curve, read_trial_log, search_summary_record, trial_records
+from .logs import (THRESHOLD_FRACTION, best_so_far_curve, read_trial_log,
+                   search_summary_record, trial_records)
 from .memory import AttackMemory, MemoryRecord, TaskSummary, summarize, warm_start
 from .proposal import ProposalDistribution
 from .rngutil import Stream
@@ -34,7 +36,7 @@ from .serial import write_records, write_text
 from .theory import theory_checks
 from .victims import surface_task_family
 
-THRESHOLD_FRACTION = 0.9
+logger = logging.getLogger(__name__)
 
 SUMMARY_HEADER = "Task,Method,Drop,Flip,Utility,Time"
 EFFICIENCY_HEADER = "Method,Pairs,Hit Rate,Trials,Time"
@@ -80,9 +82,15 @@ def run_search_mode(config: RunConfig, out_dir: Path) -> int:
     params = build_search_params(config)
     baseline = make_baseline(victim, config.victim.baseline_episodes,
                              Stream(config.seed, (1,)).generator())
-    summary = _task_summary(victim, baseline) if memory is not None else None
-    retrieved = memory.retrieve(summary, config.retrieval.top_k) if memory is not None else None
-    q0 = _initial_proposal(space, retrieved, config.retrieval.strength)
+    q0 = proposal.uniform(space.size)
+    if memory is not None:
+        summary = _task_summary(victim, baseline)
+        retrieved = memory.retrieve(summary, config.retrieval.top_k)
+        warm = warm_start(q0, retrieved, config.retrieval.strength, space)
+        if warm.skipped:
+            logger.warning(f"warm start skipped {warm.skipped} of {len(retrieved)} retrieved "
+                           "records: their configs lie outside the space")
+        q0 = warm.distribution
     result = run_search(victim, space, params, q0, baseline, weights)
     write_records(out_dir / "trial_log.jsonl", trial_records(result.history, space))
     write_records(out_dir / "result.json",

@@ -145,8 +145,9 @@ class SpaceColumns(NamedTuple):
 class MoveTable(NamedTuple):
     """A space's local moves as index tables, one read-only int array each."""
 
-    # shifted[e + 1, s + 1, t, i]: index i moved by `shifted(i, epsilon_step=e,
-    # steps_step=s, toggle_allocation=t)`, for e, s in {-1, 0, 1} and t in {0, 1}
+    # shifted[e + 1, s + 1, t, i]: index i moved e grid positions along epsilon
+    # and s along steps, each clamped at its grid ends, and with its allocation
+    # toggled, wrapping to the first candidate, when t is 1; e, s in {-1, 0, 1}
     shifted: np.ndarray
     # neighbors[i]: the indices of `neighbors(i)` ascending, padded with `size`
     neighbors: np.ndarray
@@ -173,6 +174,8 @@ _AXES = ("epsilons", "steps", "restarts", "rhos", "seeds", "allocations")
 # Positions in _AXES of the axes local moves change: every axis but the
 # seed (a pure replication knob). The family never moves either.
 _MOVE_AXES = (0, 1, 2, 3, 5)
+# A bound on any neighbourhood's width: one step down and one up on each moving axis.
+MAX_NEIGHBORS = 2 * len(_MOVE_AXES)
 _EPSILON, _STEPS, _ALLOCATION = 0, 1, 5
 
 
@@ -288,18 +291,6 @@ class ConfigSpace:
         """
         self._check_index(index)
         return tuple(n for n in self.moves.neighbors[index].tolist() if n < self.size)
-
-    def shifted(self, index: int, *, epsilon_step: int = 0, steps_step: int = 0,
-                toggle_allocation: bool = False) -> int:
-        """Move one grid position along the given directions: epsilon and steps
-        clamp at their grid ends, the allocation toggle wraps to the first candidate."""
-        self._check_index(index)
-        return int(self.moves.shifted[_sign(epsilon_step) + 1, _sign(steps_step) + 1,
-                                      int(bool(toggle_allocation)), index])
-
-
-def _sign(step) -> int:
-    return (step > 0) - (step < 0)
 
 
 # Per-family (lo, hi, step) of the default epsilon and steps grids. The

@@ -72,11 +72,15 @@ def read_trial_log(path) -> list[dict]:
     return records
 
 
+# A run hits its threshold when its best-so-far utility reaches this
+# fraction of its final best.
+THRESHOLD_FRACTION = 0.9
+
+
 @dataclass(frozen=True)
 class ThresholdOutcome:
     hit: bool
     trials_to_threshold: int | None    # 1-based trial index, hits only
-    final_best: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class TrialCurve:
     best_after_trial: tuple[float, ...]
     final_best: float
 
-    def threshold(self, fraction: float = 0.9) -> ThresholdOutcome:
+    def threshold(self, fraction: float = THRESHOLD_FRACTION) -> ThresholdOutcome:
         """First trial whose best-so-far reaches fraction * final best.
 
         Runs whose final best utility is not positive never count as hits
@@ -96,8 +100,8 @@ class TrialCurve:
             target = fraction * self.final_best
             for i, value in enumerate(self.best_after_trial, start=1):
                 if value >= target:
-                    return ThresholdOutcome(True, i, self.final_best)
-        return ThresholdOutcome(False, None, self.final_best)
+                    return ThresholdOutcome(True, i)
+        return ThresholdOutcome(False, None)
 
 
 def best_so_far_curve(records) -> TrialCurve:
@@ -120,7 +124,7 @@ def best_so_far_curve(records) -> TrialCurve:
     return TrialCurve(tuple(curve), curve[-1])
 
 
-def threshold_outcome(records, fraction: float = 0.9) -> ThresholdOutcome:
+def threshold_outcome(records, fraction: float = THRESHOLD_FRACTION) -> ThresholdOutcome:
     """The threshold outcome of a trial log's best-so-far curve."""
     return best_so_far_curve(records).threshold(fraction)
 

@@ -146,34 +146,13 @@ _FILE_KEYS = {
 
 @dataclass
 class AttackMemory:
-    """Append-only record store with per-memory normalization constants.
-
-    Constants are frozen when the memory is constructed or loaded;
-    inserts record raw features and the constants are refreshed on save.
-    """
+    """Append-only record store. Retrieval z-normalizes with the mean and
+    standard deviation of the records held at the time of the call."""
 
     records: list[MemoryRecord] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        self._refresh_normalization()
-
-    def _refresh_normalization(self) -> None:
-        if self.records:
-            stacked = np.stack([r.features for r in self.records])
-            mean = stacked.mean(axis=0)
-            std = stacked.std(axis=0)
-        else:
-            mean = np.zeros(FEATURE_LENGTH)
-            std = np.ones(FEATURE_LENGTH)
-        std = np.where(std > 0, std, 1.0)
-        self._norm_mean, self._norm_std = mean, std
-
     def __len__(self) -> int:
         return len(self.records)
-
-    def normalize(self, features) -> np.ndarray:
-        vec = np.asarray(getattr(features, "features", features), dtype=float)
-        return (vec - self._norm_mean) / self._norm_std
 
     def insert(self, record: MemoryRecord) -> None:
         self.records.append(record)
@@ -187,8 +166,12 @@ class AttackMemory:
             raise ValueError(f"k must be >= 1, got {k}")
         if not self.records:
             return []
-        q = self.normalize(query)
-        scored = [(rec, similarity(q, self.normalize(rec))) for rec in self.records]
+        stacked = np.stack([r.features for r in self.records])
+        mean = stacked.mean(axis=0)
+        std = stacked.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        q = (query.features - mean) / std
+        scored = [(rec, similarity(q, (rec.features - mean) / std)) for rec in self.records]
         scored.sort(key=lambda pair: (-pair[1], pair[0].timestamp, pair[0].task_id))
         return scored[:k]
 
@@ -198,7 +181,6 @@ class AttackMemory:
         for row in rows:
             row["config"] = row["config"].encode()
         write_records(path, rows)
-        self._refresh_normalization()
 
     @classmethod
     def load(cls, path) -> "AttackMemory":

@@ -21,7 +21,7 @@ import yaml
 
 from .configspace import AttackFamily, ConfigSpace, default_config_space, grid_problem
 from .evaluation import UtilityWeights
-from .search import ALPHA_SCHEDULES, SearchParams
+from .search import ALPHA_SCHEDULES, SearchParams, spread_problem
 from .victims import HORIZON, LinearWorldModelVictim, ResponseSurfaceVictim, surface_task
 
 MODES = ("search", "oracle", "theory", "bench", "memory", "report")
@@ -127,6 +127,8 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if not (self.budget >= self.batch >= 1):
             raise ValueError("need budget >= batch >= 1")
+        if problem := spread_problem(self.budget, self.spread):
+            raise ValueError(problem)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import AttackConfig, ConfigSpace
+from .configspace import MAX_NEIGHBORS, AttackConfig, ConfigSpace
 from .evaluation import (DEFAULT_WEIGHTS, CleanBaseline, UtilityReport,
                          UtilityWeights, scout_confirm)
 from .proposal import ProposalDistribution, ProposalError, update
@@ -62,6 +62,22 @@ def feedback(report: UtilityReport,
     return FeedbackSignal(tuple(tags), eps_step, steps_step, toggle)
 
 
+def spread_problem(budget: int, spread: float) -> str | None:
+    """Why `spread` could overflow a `budget`-config search's induced
+    proposal, or None.
+
+    Each evaluated config's weight is at most 1, so it adds at most
+    1 + spread to the kept mass and at most spread * MAX_NEIGHBORS to the
+    dropped padding slot. At most `budget` configs are evaluated, so no sum
+    of `induced_proposal` can overflow when budget * (1 + MAX_NEIGHBORS *
+    spread) is finite.
+    """
+    if math.isfinite(budget * (1 + MAX_NEIGHBORS * spread)):
+        return None
+    return (f"spread {spread!r} could overflow the induced proposal: "
+            f"budget * (1 + {MAX_NEIGHBORS} * spread) must be a finite real")
+
+
 @dataclass(frozen=True)
 class SearchParams:
     budget: int
@@ -84,6 +100,8 @@ class SearchParams:
             raise ValueError(f"unknown alpha schedule: {self.alpha_schedule!r}")
         if not all(math.isfinite(v) and v >= 0 for v in (self.beta, self.spread)):
             raise ValueError("beta and spread must be finite and >= 0")
+        if problem := spread_problem(self.budget, self.spread):
+            raise ValueError(problem)
         if self.scout_episodes < 1 or self.confirm_episodes < 1 or self.confirm_top_k < 1:
             raise ValueError("episode counts and confirm_top_k must be >= 1")
 
@@ -209,7 +227,9 @@ def induced_proposal(history: SearchHistory, space: ConfigSpace, beta: float,
     and every deposit lands in one `np.add.at` in entry order, self first,
     so each config receives its additions in the order of a per-entry loop.
     Every weight is >= 0 and the best entry's is 1, so only an overflowing
-    normalizer (a huge `spread`) can stop the result being a proposal.
+    normalizer can stop the result being a proposal: `SearchParams` refuses
+    a spread for which it could (`spread_problem`), and direct callers
+    get a `ProposalError`.
     """
     if not history.latest:
         raise ValueError("history contains no evaluated configurations")

@@ -55,12 +55,6 @@ class UtilityMap:
         return self.space.configs[self.best_index]
 
 
-@dataclass(frozen=True)
-class EffectiveSet:
-    eta: float
-    indices: tuple[int, ...]
-
-
 # One-sided z of each Monte Carlo hitting-time verdict: NormalDist().inv_cdf(
 # 1 - 1e-4), written out to keep `statistics` out of the import. Correct code
 # fails such a verdict with probability 1e-4, and the dozen of them in a
@@ -166,12 +160,12 @@ def population_utility_map(victim: ResponseSurfaceVictim, space: ConfigSpace,
     return UtilityMap(space, u, d, f, t, v)
 
 
-def effective_set(umap: UtilityMap, eta: float) -> EffectiveSet:
-    """Configurations within eta of the maximal utility."""
+def effective_set(umap: UtilityMap, eta: float) -> tuple[int, ...]:
+    """The indices, ascending, of the configurations within eta of the maximal utility."""
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     mask = umap.utilities >= umap.u_star - eta
-    return EffectiveSet(eta=eta, indices=tuple(int(i) for i in np.flatnonzero(mask)))
+    return tuple(int(i) for i in np.flatnonzero(mask))
 
 
 def gibbs_reference(umap: UtilityMap, beta: float) -> ProposalDistribution:
@@ -409,7 +403,7 @@ def _gibbs_checks(rng: np.random.Generator, space: ConfigSpace) -> list[CheckRow
                              - gibbs_reference(shifted, 2.0).probs).max())
     etas = np.sort(rng.uniform(0.0, 2.0, size=8))
     sets = [effective_set(baselineless, float(e)) for e in etas]
-    monotone = all(set(a.indices) <= set(b.indices) for a, b in zip(sets, sets[1:]))
+    monotone = all(set(a) <= set(b) for a, b in zip(sets, sets[1:]))
     grid = np.linspace(0.0, 1.0, 101)
     hit_dev = max(abs(hit_probability(p, 1) - p) for p in grid)
     recip_dev = max(abs(hitting_time_bound(p, 4) * hit_probability(p, 4) - 1.0)

@@ -404,9 +404,6 @@ class LinearWorldModelVictim:
     def goal_cell(self) -> int:
         return self.n_cells - 1
 
-    def observe(self, cell: int) -> np.ndarray:
-        return self._weights["render"][:, cell].copy()
-
     def _policy(self, obs: np.ndarray) -> tuple[int, float, np.ndarray]:
         """Greedy action, top-2 probability margin, and the latent."""
         latent = self._weights["encoder"] @ obs

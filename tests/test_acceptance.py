@@ -233,7 +233,6 @@ def warm_start_family():
             victim.task_id, summary.features, space.configs[best],
             float(umap.utilities[best]), float(umap.drops[best]),
             float(umap.flips[best]), memory.next_timestamp()))
-    memory = AttackMemory(records=memory.records)  # freeze normalization
     return space, memory, clean[20:], noisy[20:]
 
 

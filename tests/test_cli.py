@@ -237,6 +237,15 @@ def test_infinite_setting_exits_2_before_any_output(tmp_path, capsys, mode, key)
     assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
 
+def test_spread_that_could_overflow_exits_2_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, "search:\n  budget: 8\n  batch: 4\n  spread: 1.0e+308\n")
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: spread 1e+308 could overflow the induced proposal: budget * (1 + 10 * spread) "
+        "must be a finite real (key 'search', line 1)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+
 @pytest.mark.parametrize("victim", ["{task_seed: -3}", "{kind: linear, weight_seed: -2}"])
 def test_negative_victim_seed_exit_code(tmp_path, capsys, victim):
     cfg = write_config(tmp_path, f"out_dir: {tmp_path}\nvictim: {victim}\n")
@@ -589,6 +598,41 @@ def test_search_update_memory_appends_record(tmp_path):
     assert memory.records[0].task_id == "task-000"
     assert main(["search", "--config", str(cfg)]) == 0
     assert len(AttackMemory.load(memory_path)) == 2
+
+
+MISMATCHED = """
+out_dir: {out}
+space:
+  families: [{family}]
+search:
+  budget: 4
+  batch: 2
+retrieval:
+  memory_path: '{memory}'
+memory:
+  tasks: 3
+bench:
+  tasks: 1
+  methods: [attacksearch]
+"""
+
+
+def test_warm_start_from_a_mismatched_memory_warns_in_search_only(tmp_path, capsys):
+    """Every record of a [fab] memory lies outside an [apgd-ce] space: search
+    says so once; bench, whose per-family spaces skip the other families'
+    records by design, stays quiet."""
+    memory = tmp_path / "memory.jsonl"
+    fab = write_config(tmp_path, MISMATCHED.format(out=tmp_path / "m", family="fab",
+                                                   memory=memory))
+    assert main(["memory", "--config", str(fab)]) == 0
+    capsys.readouterr()
+    apgd = tmp_path / "apgd.yaml"
+    apgd.write_text(MISMATCHED.format(out=tmp_path / "s", family="apgd-ce", memory=memory))
+    assert main(["search", "--config", str(apgd)]) == 0
+    assert capsys.readouterr().err == ("warning: warm start skipped 3 of 3 retrieved records: "
+                                       "their configs lie outside the space\n")
+    assert main(["bench", "--config", str(apgd), "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_report_constructed_log_hits_by_trial_three(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
-                                      ConfigSpace, FamilyGrid, SpaceError,
+                                      MAX_NEIGHBORS, ConfigSpace, FamilyGrid, SpaceError,
                                       decode_config, default_config_space)
 from attacksearch.rngutil import MAX_SEED
 
@@ -245,8 +245,6 @@ def test_neighborhood_rejects_off_space(toy_space):
     for index in (-1, toy_space.size, 10**6):
         with pytest.raises(SpaceError, match="outside"):
             toy_space.neighbors(index)
-        with pytest.raises(SpaceError, match="outside"):
-            toy_space.shifted(index, epsilon_step=1)
 
 
 def test_neighborhood_membership_and_symmetry(toy_space):
@@ -264,12 +262,13 @@ def test_shifted_clamps_and_wraps():
         epsilons=(2, 8, 16), steps=(4, 10))})
     top = space.index_of(AttackConfig(AttackFamily.APGD_CE, 16, 10, 1, 0.75, 0,
                                       AllocationRule.MARGIN_LINEAR))
-    assert space.shifted(top, epsilon_step=1, steps_step=1) == top
-    assert space.shifted(0, epsilon_step=-1, steps_step=-1) == 0
-    wrapped = space.configs[space.shifted(top, toggle_allocation=True)]
+    shifted = space.moves.shifted   # [epsilon step + 1, steps step + 1, toggle, index]
+    assert shifted[2, 2, 0, top] == top
+    assert shifted[0, 0, 0, 0] == 0
+    wrapped = space.configs[shifted[1, 1, 1, top]]
     assert (wrapped.epsilon, wrapped.steps, wrapped.allocation) == \
         (16, 10, AllocationRule.FIXED)
-    assert space.shifted(top) == top
+    assert shifted[1, 1, 0, top] == top
 
 
 @st.composite
@@ -302,20 +301,20 @@ def test_enumeration_matches_nested_loop_oracle(space):
 @settings(max_examples=25, deadline=None)
 @given(space=small_spaces())
 def test_neighborhood_matches_scan_oracle(space):
-    """Every index's row of the move table."""
+    """Every index's row of the move table, no wider than `MAX_NEIGHBORS`."""
     for config in space.configs:
         assert neighbor_configs(space, config) == brute_force_neighbors(config, space)
+    assert space.moves.neighbors.shape[1] <= MAX_NEIGHBORS
 
 
 @settings(max_examples=60, deadline=None)
-@given(space=small_spaces(), epsilon_step=st.integers(-2, 2), steps_step=st.integers(-2, 2),
+@given(space=small_spaces(), epsilon_step=st.integers(-1, 1), steps_step=st.integers(-1, 1),
        toggle_allocation=st.booleans())
 def test_shifted_matches_config_oracle(space, epsilon_step, steps_step, toggle_allocation):
     """Every index's entry of the move table for one drawn direction."""
+    row = space.moves.shifted[epsilon_step + 1, steps_step + 1, int(toggle_allocation)]
     for index, config in enumerate(space.configs):
-        moved = space.shifted(index, epsilon_step=epsilon_step, steps_step=steps_step,
-                              toggle_allocation=toggle_allocation)
-        assert space.configs[moved] == shifted_oracle(space, config, epsilon_step, steps_step,
+        assert space.configs[row[index]] == shifted_oracle(space, config, epsilon_step, steps_step,
                                                       toggle_allocation)
 
 
@@ -336,7 +335,6 @@ def test_move_table_is_built_by_array_arithmetic(monkeypatch):
         raise AssertionError("per-index move called while building the move table")
 
     space = default_config_space()
-    monkeypatch.setattr(ConfigSpace, "shifted", refuse)
     monkeypatch.setattr(ConfigSpace, "neighbors", refuse)
     moves = space.moves
     assert "configs" not in vars(space)

@@ -134,7 +134,7 @@ def test_threshold_hit_at_trial_three():
     outcome = threshold_outcome(records, fraction=0.9)
     assert outcome.hit
     assert outcome.trials_to_threshold == 3
-    assert outcome.final_best == 1.0
+    assert best_so_far_curve(records).final_best == 1.0
 
 
 def test_threshold_negative_final_never_hits():
@@ -142,7 +142,7 @@ def test_threshold_negative_final_never_hits():
     outcome = threshold_outcome(records)
     assert not outcome.hit
     assert outcome.trials_to_threshold is None
-    assert outcome.final_best == -0.1
+    assert best_so_far_curve(records).final_best == -0.1
 
 
 def test_report_builds_each_logs_curve_once(tmp_path, monkeypatch):

@@ -129,16 +129,20 @@ def build_memory(n, rng):
     for i in range(n):
         memory.insert(record(f"task-{i:03d}", rng.normal(size=FEATURE_LENGTH),
                              a_config(), rng.normal(), float(i)))
-    return AttackMemory(records=memory.records)  # freeze normalization
+    return memory
 
 
 def test_retrieve_topk_matches_full_sort_oracle(rng):
     memory = build_memory(50, rng)
     query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH))
     got = memory.retrieve(query, 5)
-    normalized_q = memory.normalize(query)
+    # z-normalize over the records, a zero deviation counting as 1
+    stacked = np.array([r.features for r in memory.records])
+    mean, std = stacked.mean(axis=0), stacked.std(axis=0)
+    std[std == 0.0] = 1.0
     oracle = sorted(
-        ((r, similarity(normalized_q, memory.normalize(r))) for r in memory.records),
+        ((r, similarity((query.features - mean) / std, (r.features - mean) / std))
+         for r in memory.records),
         key=lambda pair: (-pair[1], pair[0].timestamp, pair[0].task_id))[:5]
     assert [r.task_id for r, _ in got] == [r.task_id for r, _ in oracle]
     assert [s for _, s in got] == [s for _, s in oracle]
@@ -329,16 +333,19 @@ def test_retrieval_unchanged_without_insert(rng):
     assert [(r.task_id, s) for r, s in first] == [(r.task_id, s) for r, s in second]
 
 
-def test_insert_does_not_move_normalization(rng):
+def test_retrieval_reads_the_records_held_at_the_call(rng, tmp_path):
+    """After an insert a memory retrieves exactly as a fresh memory over the
+    same records does, and saving it changes nothing."""
     memory = build_memory(20, rng)
     query = TaskSummary("q", rng.normal(size=FEATURE_LENGTH))
-    before = memory.retrieve(query, 3)
+    memory.retrieve(query, 3)
     memory.insert(record("new", 100.0 * np.ones(FEATURE_LENGTH), a_config(), 3.0, 99.0))
-    after = memory.retrieve(query, 3)
-    before_scores = {r.task_id: s for r, s in before}
-    for r, s in after:
-        if r.task_id in before_scores:
-            assert s == before_scores[r.task_id]
+    after = memory.retrieve(query, 21)
+    fresh = AttackMemory(records=list(memory.records)).retrieve(query, 21)
+    assert [(r.task_id, s) for r, s in after] == [(r.task_id, s) for r, s in fresh]
+    memory.save(tmp_path / "memory.jsonl")
+    saved = memory.retrieve(query, 21)
+    assert [(r.task_id, s) for r, s in saved] == [(r.task_id, s) for r, s in fresh]
 
 
 

@@ -1,5 +1,7 @@
 import logging
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attacksearch import proposal
-from attacksearch.configspace import (AllocationRule, AttackConfig, AttackFamily,
-                                      ConfigSpace, FamilyGrid)
+from attacksearch.configspace import (MAX_NEIGHBORS, AllocationRule, AttackConfig,
+                                      AttackFamily, ConfigSpace, FamilyGrid)
 from attacksearch.evaluation import DEFAULT_WEIGHTS, UtilityReport
 from attacksearch.logs import search_summary_record, trial_records
 from attacksearch.rngutil import Stream
 from attacksearch.search import (EvalEntry, FeedbackSignal, SearchHistory,
                                  SearchParams, feedback, induced_proposal,
-                                 propose_batch, run_search)
+                                 propose_batch, run_search, spread_problem)
 from attacksearch.theory import brute_force_utility
 from attacksearch.victims import surface_task
 
@@ -283,7 +285,7 @@ def test_induced_shifts_along_feedback_direction():
     history = history_with(space, [(0, config, report(), signal)])
     q = induced_proposal(history, space, beta=0.0, spread=1.0)
     self_idx = space.index_of(config)
-    shifted_center = space.shifted(self_idx, epsilon_step=1)
+    shifted_center = int(space.moves.shifted[2, 1, 0, self_idx])   # epsilon one step up
     assert space.configs[shifted_center].epsilon == 12
     neighbors = space.neighbors(shifted_center)
     share = 0.5 / len(neighbors)
@@ -310,6 +312,40 @@ def test_induced_refuses_a_normalizer_that_overflows():
     with np.errstate(over="ignore"), pytest.raises(proposal.ProposalError,
                                                     match="induced proposal mass"):
         induced_proposal(history, space, beta=0.0, spread=1e308)
+
+
+def largest_accepted_spread(budget):
+    """The largest float `SearchParams` accepts as the spread of a `budget` search."""
+    spread = sys.float_info.max / (MAX_NEIGHBORS * budget)
+    while spread_problem(budget, math.nextafter(spread, math.inf)) is None:
+        spread = math.nextafter(spread, math.inf)
+    while spread_problem(budget, spread) is not None:
+        spread = math.nextafter(spread, 0.0)
+    return spread
+
+
+def test_search_params_refuse_a_spread_that_could_overflow():
+    with pytest.raises(ValueError, match="spread 1e\\+308 could overflow"):
+        SearchParams(budget=8, batch_size=4, spread=1e308)
+    largest = largest_accepted_spread(4)
+    SearchParams(budget=4, batch_size=2, spread=largest)
+    with pytest.raises(ValueError, match="could overflow"):
+        SearchParams(budget=4, batch_size=2, spread=math.nextafter(largest, math.inf))
+
+
+def test_largest_accepted_spread_refines_without_overflow():
+    """A refined round at the largest spread the rule lets through raises no
+    numpy floating-point warning."""
+    victim, space = small_victim(), search_space()
+    params = SearchParams(budget=4, batch_size=2, beta=0.0, spread=largest_accepted_spread(4))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_search(victim, space, params, proposal.uniform(space.size),
+                            make_baseline_for(victim))
+    refined = result.history.proposal_snapshots[1]
+    assert len(result.history.proposal_snapshots) == 2
+    assert np.all(np.isfinite(refined)) and refined.sum() == pytest.approx(1.0, abs=1e-12)
+    assert not np.array_equal(refined, result.history.proposal_snapshots[0])
 
 
 def test_close_round_tie_keeps_lowest_index():

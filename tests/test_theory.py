@@ -78,13 +78,13 @@ def test_brute_force_agrees_with_exhaustive_search(surface_victim, surface_basel
 def test_effective_set_zero_eta_is_argmax(rng):
     umap = random_umap(rng)
     es = effective_set(umap, 0.0)
-    assert set(es.indices) == set(np.flatnonzero(umap.utilities == umap.utilities.max()))
+    assert set(es) == set(np.flatnonzero(umap.utilities == umap.utilities.max()))
 
 
 def test_effective_set_full_tolerance(rng):
     umap = random_umap(rng)
     eta = umap.u_star - umap.utilities.min()
-    assert len(effective_set(umap, eta).indices) == umap.utilities.size
+    assert len(effective_set(umap, eta)) == umap.utilities.size
 
 
 def test_effective_set_matches_filter_oracle(rng):
@@ -92,14 +92,14 @@ def test_effective_set_matches_filter_oracle(rng):
     eta = 0.1
     es = effective_set(umap, eta)
     oracle = [i for i, u in enumerate(umap.utilities) if u >= umap.u_star - eta]
-    assert list(es.indices) == oracle
+    assert list(es) == oracle
 
 
 def test_effective_set_monotone(rng):
     umap = random_umap(rng)
     sets = [effective_set(umap, eta) for eta in (0.0, 0.05, 0.2, 0.7, 2.0)]
     for small, large in zip(sets, sets[1:]):
-        assert set(small.indices) <= set(large.indices)
+        assert set(small) <= set(large)
 
 
 def test_effective_set_rejects_negative_eta(rng):

@@ -131,9 +131,9 @@ def test_linear_clean_rollout_shape(linear_victim):
 
 
 def test_linear_observations_in_box(linear_victim):
-    for cell in range(linear_victim.n_cells):
-        obs = linear_victim.observe(cell)
-        assert np.all(obs >= -0.5) and np.all(obs <= 0.5)
+    obs = linear_victim._clean_table.obs
+    assert obs.shape == (linear_victim.n_cells, linear_victim.obs_dim)
+    assert np.all(obs >= -0.5) and np.all(obs <= 0.5)
 
 
 def test_linear_horizon_validation():
@@ -256,7 +256,7 @@ def _reference_rollout(victim, config, episodes, rng):
         latents, preds, actions, rewards, margins = [], [], [], [], []
         latent, action = None, None
         for t in range(victim.horizon):
-            obs = victim.observe(cell)
+            obs = victim._weights["render"][:, cell].copy()
             clean_action, margin, clean_latent = victim._policy(obs)
             loss_evals = 0
             if config is None:
@@ -366,7 +366,7 @@ def test_synthesis_calls_per_rollout(linear_victim, monkeypatch, family):
 @pytest.mark.parametrize("shape", sorted(MEMO_VICTIMS))
 def test_policy_rows_match_policy(shape):
     victim = MEMO_VICTIMS[shape]
-    obs = np.array([victim.observe(cell) for cell in range(victim.n_cells)])
+    obs = np.array(victim._clean_table.obs)
     for noisy in (obs, attacks.project_obs(obs + Stream(5).generator().normal(0, 0.05, obs.shape))):
         actions, margins, latents = victim._policy_rows(noisy)
         for row, action, margin, latent in zip(noisy, actions, margins, latents):
@@ -385,7 +385,7 @@ def test_policy_rows_match_policy(shape):
 def test_grid_call_matches_one_row_calls(family, alloc, epsilon, restarts, shape):
     victim = MEMO_VICTIMS[shape]
     config = cfg(family=family, epsilon=epsilon, steps=6, restarts=restarts, alloc=alloc)
-    obs = np.array([victim.observe(cell) for cell in range(victim.n_cells)])
+    obs = np.array(victim._clean_table.obs)
     actions, margins, _ = victim._policy_rows(obs)
     steps = [victim.effective_steps(config, m) for m in margins]
     grid = attacks.synthesize_delta(victim.attack_surface, obs, actions, config, steps, None)
